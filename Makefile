@@ -32,6 +32,7 @@ test-fast:
 # and produce a byte-identical dataset.
 campaign-smoke:
 	rm -rf $(SMOKE_DIR)
+	mkdir -p $(SMOKE_DIR)
 	PYTHONPATH=src REPRO_CACHE_DIR=$(SMOKE_DIR)/cache \
 		REPRO_CHECKPOINT_DIR=$(SMOKE_DIR)/ckpt $(PYTHON) -m repro.cli.campaign \
 		--paths 2 --traces 2 --epochs 10 --workers 2 -o $(SMOKE_DIR)/smoke.csv
@@ -46,6 +47,7 @@ campaign-smoke:
 # manifest sidecars, and `repro-obs summary` must render them.
 obs-smoke:
 	rm -rf $(OBS_SMOKE_DIR)
+	mkdir -p $(OBS_SMOKE_DIR)
 	PYTHONPATH=src REPRO_CACHE_DIR=$(OBS_SMOKE_DIR)/cache \
 		REPRO_CHECKPOINT_DIR=$(OBS_SMOKE_DIR)/ckpt $(PYTHON) -m repro.cli.campaign \
 		--paths 4 --traces 1 --epochs 5 --quiet -o $(OBS_SMOKE_DIR)/smoke.csv
@@ -59,6 +61,7 @@ obs-smoke:
 # dataset must be byte-identical to an uninterrupted run's.
 resume-smoke:
 	rm -rf $(RESUME_SMOKE_DIR)
+	mkdir -p $(RESUME_SMOKE_DIR)
 	PYTHONPATH=src REPRO_CHECKPOINT_DIR=$(RESUME_SMOKE_DIR)/ckpt-ref $(PYTHON) -m repro.cli.campaign \
 		--paths 2 --traces 2 --epochs 8 --no-cache --quiet -o $(RESUME_SMOKE_DIR)/ref.csv
 	PYTHONPATH=src REPRO_CHECKPOINT_DIR=$(RESUME_SMOKE_DIR)/ckpt \
@@ -78,6 +81,7 @@ resume-smoke:
 # manifest must pass the regression gate.
 analyze-obs-smoke:
 	rm -rf $(ANALYZE_SMOKE_DIR)
+	mkdir -p $(ANALYZE_SMOKE_DIR)
 	PYTHONPATH=src REPRO_CACHE_DIR=$(ANALYZE_SMOKE_DIR)/cache \
 		REPRO_CHECKPOINT_DIR=$(ANALYZE_SMOKE_DIR)/ckpt $(PYTHON) -m repro.cli.campaign \
 		--paths 3 --traces 1 --epochs 12 --quiet --no-cache -o $(ANALYZE_SMOKE_DIR)/smoke.csv
@@ -163,16 +167,15 @@ vector-parity:
 	PYTHONPATH=src $(PYTHON) tools/vector_parity.py
 	@echo "vector parity OK (scalar and vector engine CSVs byte-identical)"
 
-# The HB-analysis bit-identity gate: repro-analyze stdout must hash
-# identically between the scalar oracle and the vectorized evaluation
-# path at workers 1/2/4, and a warm rerun against the populated
-# evaluation cache must match while computing zero walks (see
-# docs/performance.md, "The vectorized analysis path").  The reduced
-# grid keeps `make test` quick; the tool's default invocation (no
-# flags) covers the full default catalog.
+# The analysis bit-identity gate: repro-analyze stdout must hash
+# identically between the scalar HB oracle and the vectorized evaluation
+# path, and a rerun on the same dataset must reproduce it byte for byte
+# (see docs/performance.md, "The vectorized analysis path" and "One
+# pass per dataset").  The reduced grid keeps `make test` quick; the
+# tool's default invocation (no flags) covers the full default catalog.
 analyze-parity:
 	PYTHONPATH=src $(PYTHON) tools/analyze_parity.py --paths 6 --traces 2 --epochs 60
-	@echo "analyze parity OK (scalar/vector/parallel/cached outputs byte-identical)"
+	@echo "analyze parity OK (scalar/vector/rerun outputs byte-identical)"
 
 # Library code must report through repro.obs, not print().
 lint:

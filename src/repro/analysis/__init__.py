@@ -8,11 +8,13 @@
   and scatter summaries for benchmark output.
 * :mod:`repro.analysis.stats` — bootstrap confidence intervals for the
   headline statistics.
+* :mod:`repro.analysis.memo` — the per-dataset memo through which the
+  figures share HB walks, trace series and FB array passes.
 
 Each function takes a :class:`repro.paths.records.Dataset` and returns
 plain result objects; nothing here reads the hidden ``truth`` fields.
 """
 
-from repro.analysis import fb_eval, hb_eval, report, stats
+from repro.analysis import fb_eval, hb_eval, memo, report, stats
 
-__all__ = ["fb_eval", "hb_eval", "report", "stats"]
+__all__ = ["fb_eval", "hb_eval", "memo", "report", "stats"]

@@ -3,20 +3,31 @@
 Every function here evaluates the FB predictor of Eq. (3) (or a variant)
 over a dataset and aggregates the relative errors (Eq. 4) the way the
 corresponding figure does.
+
+The predictions come from the dataset's memo
+(:func:`repro.analysis.memo.dataset_memo`): one
+:meth:`~repro.formulas.fb_predictor.FormulaBasedPredictor.predict_array`
+pass per distinct predictor over every epoch, shared by all figures and
+bit-identical to :func:`predict_epoch` epoch by epoch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
+from repro.analysis.memo import FbPass, dataset_memo
 from repro.core.errors import DataError
-from repro.core.metrics import Cdf, pearson_correlation, relative_error, rmsre
-from repro.obs import get_telemetry
+from repro.core.metrics import (
+    Cdf,
+    pearson_correlation,
+    relative_error,
+    relative_errors,
+    rmsre,
+)
 from repro.formulas.fb_predictor import FormulaBasedPredictor
-from repro.formulas.params import PathEstimates, TcpParameters
+from repro.formulas.params import TcpParameters
 from repro.hb.moving_average import MovingAverage
 from repro.paths.records import Dataset, EpochMeasurement
 
@@ -39,25 +50,7 @@ def predict_epoch(
     epoch: EpochMeasurement, predictor: FormulaBasedPredictor
 ) -> FbEpochResult:
     """Apply the FB predictor to one epoch's a priori measurements."""
-    estimates = PathEstimates(
-        rtt_s=epoch.that_s,
-        loss_rate=epoch.phat,
-        availbw_mbps=epoch.ahat_mbps,
-    )
-    tele = get_telemetry()
-    if tele.enabled:
-        started = perf_counter()
-        predicted = predictor.predict(estimates)
-        tele.metrics.timer("predict.wall_s", predictor="fb").observe(
-            perf_counter() - started
-        )
-        tele.metrics.counter(
-            "predictions.made",
-            predictor="fb",
-            regime="lossless" if epoch.lossless else "lossy",
-        ).inc()
-    else:
-        predicted = predictor.predict(estimates)
+    predicted = predictor.predict_from(epoch.that_s, epoch.phat, epoch.ahat_mbps)
     return FbEpochResult(
         epoch=epoch,
         predicted_mbps=predicted,
@@ -65,14 +58,30 @@ def predict_epoch(
     )
 
 
+def default_predictor() -> FormulaBasedPredictor:
+    """The paper's FB predictor: PFTK with the congestion-limited window."""
+    return FormulaBasedPredictor(tcp=TcpParameters.congestion_limited())
+
+
+def fb_pass(
+    dataset: Dataset, predictor: FormulaBasedPredictor | None = None
+) -> FbPass:
+    """Predictions and errors of ``predictor`` for every epoch, as
+    arrays in ``dataset.epochs()`` order — computed once per dataset."""
+    return dataset_memo(dataset).fb(predictor or default_predictor())
+
+
 def evaluate(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> list[FbEpochResult]:
     """FB predictions for every epoch of the dataset."""
-    predictor = predictor or FormulaBasedPredictor(
-        tcp=TcpParameters.congestion_limited()
-    )
-    return [predict_epoch(epoch, predictor) for epoch in dataset.epochs()]
+    result = fb_pass(dataset, predictor)
+    return [
+        FbEpochResult(epoch=epoch, predicted_mbps=predicted, error=error)
+        for epoch, predicted, error in zip(
+            dataset.epochs(), result.predicted.tolist(), result.errors.tolist()
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -105,16 +114,16 @@ def error_cdfs(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> ErrorCdfs:
     """Fig. 2: the error CDFs for all, lossy, and lossless predictions."""
-    results = evaluate(dataset, predictor)
-    if not results:
+    errors = fb_pass(dataset, predictor).errors
+    if not errors.size:
         raise DataError("dataset has no epochs")
-    all_errors = [r.error for r in results]
-    lossy = [r.error for r in results if r.lossy]
-    lossless = [r.error for r in results if not r.lossy]
-    if not lossy or not lossless:
+    is_lossy = dataset_memo(dataset).columns.phat != 0.0
+    lossy = errors[is_lossy]
+    lossless = errors[~is_lossy]
+    if not lossy.size or not lossless.size:
         raise DataError("dataset lacks lossy or lossless predictions")
     return ErrorCdfs(
-        all=Cdf.from_values(all_errors, label="all predictions"),
+        all=Cdf.from_values(errors, label="all predictions"),
         lossy=Cdf.from_values(lossy, label="lossy paths (PFTK)"),
         lossless=Cdf.from_values(lossless, label="lossless paths (avail-bw)"),
     )
@@ -155,18 +164,19 @@ def increase_cdfs(dataset: Dataset) -> IncreaseCdfs:
     Relative loss increases are computed only over epochs that were lossy
     even before the transfer (``phat > 0``), as in the paper.
     """
-    epochs = dataset.epochs()
-    if not epochs:
+    columns = dataset_memo(dataset).columns
+    if not columns.that_s.size:
         raise DataError("dataset has no epochs")
-    rtt_abs = [e.ttilde_s - e.that_s for e in epochs]
-    loss_abs = [e.ptilde - e.phat for e in epochs]
-    rtt_rel = [(e.ttilde_s - e.that_s) / e.that_s for e in epochs]
-    lossy = [e for e in epochs if e.phat > 0]
-    if not lossy:
+    rtt_abs = columns.ttilde_s - columns.that_s
+    loss_abs = columns.ptilde - columns.phat
+    rtt_rel = rtt_abs / columns.that_s
+    lossy = columns.phat > 0
+    if not lossy.any():
         raise DataError("no lossy epochs for relative loss increase")
-    loss_rel = [(e.ptilde - e.phat) / e.phat for e in lossy]
-    rtt_ratios = [e.ttilde_s / e.that_s for e in epochs]
-    loss_ratios = [e.ptilde / e.phat for e in lossy]
+    phat, ptilde = columns.phat[lossy], columns.ptilde[lossy]
+    loss_rel = (ptilde - phat) / phat
+    rtt_ratios = columns.ttilde_s / columns.that_s
+    loss_ratios = ptilde / phat
     return IncreaseCdfs(
         rtt_absolute_s=Cdf.from_values(rtt_abs, label="RTT increase (s)"),
         loss_absolute=Cdf.from_values(loss_abs, label="loss increase"),
@@ -209,31 +219,16 @@ def during_flow_prediction(
     Restricted to epochs that are lossy both before and during the flow,
     as the figure is.
     """
-    predictor = predictor or FormulaBasedPredictor(
-        tcp=TcpParameters.congestion_limited()
-    )
-    prior_errors, during_errors = [], []
-    for epoch in dataset.epochs():
-        if epoch.phat <= 0 or epoch.ptilde <= 0:
-            continue
-        prior = predictor.predict(
-            PathEstimates(
-                rtt_s=epoch.that_s,
-                loss_rate=epoch.phat,
-                availbw_mbps=epoch.ahat_mbps,
-            )
-        )
-        during = predictor.predict(
-            PathEstimates(
-                rtt_s=epoch.ttilde_s,
-                loss_rate=epoch.ptilde,
-                availbw_mbps=epoch.ahat_mbps,
-            )
-        )
-        prior_errors.append(relative_error(prior, epoch.throughput_mbps))
-        during_errors.append(relative_error(during, epoch.throughput_mbps))
-    if not prior_errors:
+    predictor = predictor or default_predictor()
+    columns = dataset_memo(dataset).columns
+    both = (columns.phat > 0) & (columns.ptilde > 0)
+    if not both.any():
         raise DataError("no epochs lossy both before and during the flow")
+    prior_errors = fb_pass(dataset, predictor).errors[both]
+    during = predictor.predict_array(
+        columns.ttilde_s[both], columns.ptilde[both], columns.ahat_mbps[both]
+    )
+    during_errors = relative_errors(during, columns.throughput_mbps[both])
     return DuringFlowComparison(
         with_prior=Cdf.from_values(prior_errors, label="using (T^, p^)"),
         with_during=Cdf.from_values(during_errors, label="using (T~, p~)"),
@@ -260,24 +255,20 @@ def per_path_percentiles(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> list[PathErrorSummary]:
     """Fig. 7: median and 10/90th percentiles of E per path."""
-    predictor = predictor or FormulaBasedPredictor(
-        tcp=TcpParameters.congestion_limited()
-    )
+    all_errors = fb_pass(dataset, predictor).errors
+    memo = dataset_memo(dataset)
     summaries = []
     for path_id in dataset.path_ids:
-        errors = [
-            predict_epoch(e, predictor).error for e in dataset.epochs(path_id)
-        ]
-        if not errors:
+        arr = all_errors[memo.path_indices(path_id)]
+        if not arr.size:
             continue
-        arr = np.asarray(errors)
         summaries.append(
             PathErrorSummary(
                 path_id=path_id,
                 median=float(np.median(arr)),
                 p10=float(np.quantile(arr, 0.10)),
                 p90=float(np.quantile(arr, 0.90)),
-                n=len(errors),
+                n=int(arr.size),
             )
         )
     return summaries
@@ -317,10 +308,10 @@ def throughput_vs_error(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> ScatterRelation:
     """Fig. 8: actual throughput versus prediction error."""
-    results = evaluate(dataset, predictor)
+    errors = fb_pass(dataset, predictor).errors
     return ScatterRelation(
-        x=np.asarray([r.epoch.throughput_mbps for r in results]),
-        errors=np.asarray([r.error for r in results]),
+        x=dataset_memo(dataset).columns.throughput_mbps,
+        errors=errors,
         x_label="R (Mbps)",
     )
 
@@ -329,25 +320,21 @@ def loss_vs_error(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> ScatterRelation:
     """Fig. 9: a priori loss rate versus error (lossy epochs only)."""
-    results = [r for r in evaluate(dataset, predictor) if r.lossy]
-    if not results:
+    errors = fb_pass(dataset, predictor).errors
+    phat = dataset_memo(dataset).columns.phat
+    lossy = phat != 0.0
+    if not lossy.any():
         raise DataError("no lossy epochs")
-    return ScatterRelation(
-        x=np.asarray([r.epoch.phat for r in results]),
-        errors=np.asarray([r.error for r in results]),
-        x_label="p^",
-    )
+    return ScatterRelation(x=phat[lossy], errors=errors[lossy], x_label="p^")
 
 
 def rtt_vs_error(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> ScatterRelation:
     """Fig. 10: a priori RTT versus error."""
-    results = evaluate(dataset, predictor)
+    errors = fb_pass(dataset, predictor).errors
     return ScatterRelation(
-        x=np.asarray([r.epoch.that_s for r in results]),
-        errors=np.asarray([r.error for r in results]),
-        x_label="T^ (s)",
+        x=dataset_memo(dataset).columns.that_s, errors=errors, x_label="T^ (s)"
     )
 
 
@@ -445,28 +432,22 @@ def duration_effect(
     Requires a dataset collected with checkpoint fractions (the March
     2006 campaign settings).
     """
-    predictor = predictor or FormulaBasedPredictor(
-        tcp=TcpParameters.congestion_limited()
-    )
-    per_cut: dict[str, list[float]] = {label: [] for label in cut_labels}
-    for epoch in dataset.epochs():
-        if len(epoch.duration_throughputs_mbps) != len(cut_labels):
-            continue
-        predicted = predictor.predict(
-            PathEstimates(
-                rtt_s=epoch.that_s,
-                loss_rate=epoch.phat,
-                availbw_mbps=epoch.ahat_mbps,
-            )
-        )
-        for label, throughput in zip(cut_labels, epoch.duration_throughputs_mbps):
-            per_cut[label].append(relative_error(predicted, throughput))
-    if not any(per_cut.values()):
+    epochs = dataset.epochs()
+    cut = [
+        k
+        for k, epoch in enumerate(epochs)
+        if len(epoch.duration_throughputs_mbps) == len(cut_labels)
+    ]
+    if not cut or not cut_labels:
         raise DataError("dataset has no duration checkpoints (need the 2006 set)")
+    predicted = fb_pass(dataset, predictor).predicted[cut]
+    actual = np.array([epochs[k].duration_throughputs_mbps for k in cut])
     return DurationEffect(
         cdfs={
-            label: Cdf.from_values(errors, label=f"E at {label}")
-            for label, errors in per_cut.items()
+            label: Cdf.from_values(
+                relative_errors(predicted, actual[:, j]), label=f"E at {label}"
+            )
+            for j, label in enumerate(cut_labels)
         }
     )
 
@@ -499,43 +480,34 @@ def window_limited(
     """
     large_tcp = large_tcp or TcpParameters.congestion_limited()
     small_tcp = small_tcp or TcpParameters.window_limited()
-    fb_large = FormulaBasedPredictor(tcp=large_tcp)
-    fb_small = FormulaBasedPredictor(tcp=small_tcp)
+    memo = dataset_memo(dataset)
+    columns = memo.columns
+    has_small = ~np.isnan(columns.smallw_throughput_mbps)
+    if not has_small.any():
+        raise DataError("dataset has no small-window measurements")
+    large = fb_pass(dataset, FormulaBasedPredictor(tcp=large_tcp))
+    small = fb_pass(dataset, FormulaBasedPredictor(tcp=small_tcp))
 
     comparisons = []
     for path_id in dataset.path_ids:
-        epochs = [
-            e for e in dataset.epochs(path_id) if e.smallw_throughput_mbps is not None
-        ]
-        if not epochs:
+        indices = memo.path_indices(path_id)
+        indices = indices[has_small[indices]]
+        if not indices.size:
             continue
-        large_errors, small_errors, ratios = [], [], []
-        for e in epochs:
-            estimates = PathEstimates(
-                rtt_s=e.that_s, loss_rate=e.phat, availbw_mbps=e.ahat_mbps
-            )
-            large_errors.append(
-                relative_error(fb_large.predict(estimates), e.throughput_mbps)
-            )
-            small_errors.append(
-                relative_error(
-                    fb_small.predict(estimates), e.smallw_throughput_mbps
-                )
-            )
-            window_mbps = small_tcp.max_window_bytes * 8 / e.that_s / 1e6
-            ratios.append(window_mbps / e.ahat_mbps)
-        ratio = float(np.median(ratios))
+        small_errors = relative_errors(
+            small.predicted[indices], columns.smallw_throughput_mbps[indices]
+        )
+        window_mbps = small_tcp.max_window_bytes * 8 / columns.that_s[indices] / 1e6
+        ratio = float(np.median(window_mbps / columns.ahat_mbps[indices]))
         comparisons.append(
             WindowLimitedComparison(
                 path_id=path_id,
-                rmsre_large_window=rmsre(large_errors),
+                rmsre_large_window=rmsre(large.errors[indices]),
                 rmsre_small_window=rmsre(small_errors),
                 window_limited=ratio < 1.0,
                 window_availbw_ratio=ratio,
             )
         )
-    if not comparisons:
-        raise DataError("dataset has no small-window measurements")
     return comparisons
 
 
@@ -549,7 +521,7 @@ def revised_model_comparison(dataset: Dataset) -> dict[str, Cdf]:
     tcp = TcpParameters.congestion_limited()
     return {
         name: Cdf.from_values(
-            [r.error for r in evaluate(dataset, FormulaBasedPredictor(tcp=tcp, model=model))],
+            fb_pass(dataset, FormulaBasedPredictor(tcp=tcp, model=model)).errors,
             label=name,
         )
         for name, model in [("original PFTK", "pftk"), ("revised PFTK", "pftk-revised")]
@@ -567,23 +539,19 @@ def smoothed_inputs(dataset: Dataset, ma_order: int = 10) -> dict[str, Cdf]:
     The smoothing is a per-trace moving average over the last
     ``ma_order`` epochs' measurements, as in the paper.
     """
-    predictor = FormulaBasedPredictor(tcp=TcpParameters.congestion_limited())
-    plain_errors, smoothed_errors = [], []
+    predictor = default_predictor()
+    plain_errors = fb_pass(dataset, predictor).errors
+    smoothed_errors = []
     for trace in dataset:
         rtt_ma = MovingAverage(ma_order)
         loss_ma = MovingAverage(ma_order)
         for epoch in trace:
-            plain_errors.append(predict_epoch(epoch, predictor).error)
             if rtt_ma.ready:
-                estimates = PathEstimates(
-                    rtt_s=rtt_ma.forecast(),
-                    loss_rate=max(0.0, loss_ma.forecast()),
-                    availbw_mbps=epoch.ahat_mbps,
+                predicted = predictor.predict_from(
+                    rtt_ma.forecast(), max(0.0, loss_ma.forecast()), epoch.ahat_mbps
                 )
                 smoothed_errors.append(
-                    relative_error(
-                        predictor.predict(estimates), epoch.throughput_mbps
-                    )
+                    relative_error(predicted, epoch.throughput_mbps)
                 )
             rtt_ma.update(epoch.that_s)
             loss_ma.update(epoch.phat)

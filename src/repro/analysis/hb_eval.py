@@ -3,6 +3,10 @@
 The unit of evaluation is the *trace*: a walk-forward one-step
 evaluation of a predictor over the trace's throughput series yields a
 per-trace RMSRE; the figures aggregate those RMSREs across traces.
+
+Walks, series and segmentations come from the dataset's memo
+(:func:`repro.analysis.memo.dataset_memo`), so a walk two figures share
+is computed once per dataset.
 """
 
 from __future__ import annotations
@@ -11,18 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.fb_eval import fb_pass
+from repro.analysis.memo import AnalysisMemo, dataset_memo
 from repro.core.errors import DataError
 from repro.core.metrics import Cdf, pearson_correlation, rmsre
-from repro.formulas.fb_predictor import FormulaBasedPredictor
-from repro.formulas.params import TcpParameters
 from repro.hb.base import PredictorFactory
-from repro.hb.evaluate import evaluate_predictor, lso_segmentation
 from repro.hb.ewma import Ewma
 from repro.hb.holt_winters import HoltWinters
 from repro.hb.lso import LsoConfig
 from repro.hb.moving_average import MovingAverage
 from repro.hb.wrappers import LsoPredictor
-from repro.analysis.fb_eval import predict_epoch
 from repro.paths.records import Dataset, Trace
 
 # ----------------------------------------------------------------------
@@ -71,11 +73,18 @@ def trace_rmsre(
     factory: PredictorFactory,
     small_window: bool = False,
     exclude_outliers: bool = False,
+    memo: AnalysisMemo | None = None,
 ) -> float:
-    """One predictor's RMSRE over one trace."""
-    series = trace.throughput_series(small_window=small_window)
+    """One predictor's RMSRE over one trace.
+
+    ``memo`` (that of the trace's dataset) shares the walk with every
+    other figure asking for it; without one it is computed fresh.
+    """
+    memo = memo or AnalysisMemo(Dataset(label="", traces=[trace]))
     lso_config = LsoConfig() if exclude_outliers else None
-    evaluation = evaluate_predictor(series, factory, lso_config=lso_config)
+    evaluation = memo.evaluation(
+        trace, factory, small_window=small_window, lso_config=lso_config
+    )
     return evaluation.rmsre(exclude_outliers=exclude_outliers)
 
 
@@ -83,8 +92,10 @@ def rmsre_per_trace(
     dataset: Dataset, factory: PredictorFactory, small_window: bool = False
 ) -> list[float]:
     """RMSREs of one predictor across all traces of the dataset."""
+    memo = dataset_memo(dataset)
     values = [
-        trace_rmsre(trace, factory, small_window=small_window) for trace in dataset
+        trace_rmsre(trace, factory, small_window=small_window, memo=memo)
+        for trace in dataset
     ]
     if not values:
         raise DataError("dataset has no traces")
@@ -125,10 +136,10 @@ def exemplar_traces(
             "HW": hw(),
             "HW-LSO": with_lso(hw()),
         }
+    memo = dataset_memo(dataset)
     scored = []
     for trace in dataset:
-        series = trace.throughput_series()
-        seg = lso_segmentation(series.values)
+        seg = memo.segmentation(trace)
         score = 10 * len(seg.shift_indices) + len(seg.outlier_indices)
         if score == 0:
             continue
@@ -139,16 +150,13 @@ def exemplar_traces(
 
     examples = []
     for _, trace, seg in scored[:max_examples]:
-        series = trace.throughput_series()
         examples.append(
             ExemplarTrace(
-                trace_name=series.name,
+                trace_name=memo.series(trace).name,
                 n_level_shifts=len(seg.shift_indices),
                 n_outliers=len(seg.outlier_indices),
                 rmsres={
-                    name: rmsre(
-                        evaluate_predictor(series, factory).valid_errors
-                    )
+                    name: rmsre(memo.evaluation(trace, factory).valid_errors)
                     for name, factory in predictors.items()
                 },
             )
@@ -206,16 +214,14 @@ def lso_sensitivity(
     psi_values: tuple[float, ...] = (0.3, 0.4, 0.5),
 ) -> dict[str, Cdf]:
     """Fig. 18: |E| CDFs for MA-LSO under different chi/psi settings."""
+    memo = dataset_memo(dataset)
     cdfs: dict[str, Cdf] = {}
     for chi in chi_values:
         for psi in psi_values:
             config = LsoConfig(level_shift_threshold=chi, outlier_threshold=psi)
             abs_errors: list[float] = []
             for trace in dataset:
-                series = trace.throughput_series()
-                evaluation = evaluate_predictor(
-                    series, with_lso(ma(order), config)
-                )
+                evaluation = memo.evaluation(trace, with_lso(ma(order), config))
                 abs_errors.extend(np.abs(evaluation.valid_errors).tolist())
             label = f"chi={chi:g}, psi={psi:g}"
             cdfs[label] = Cdf.from_values(abs_errors, label=label)
@@ -250,12 +256,12 @@ def fb_vs_hb(
 ) -> FbHbComparison:
     """Fig. 19: FB against HB (HW-LSO by default), per-trace RMSRE."""
     hb_factory = hb_factory or with_lso(hw())
-    fb_predictor = FormulaBasedPredictor(tcp=TcpParameters.congestion_limited())
+    memo = dataset_memo(dataset)
+    errors, bounds = fb_pass(dataset).errors, memo.columns.trace_bounds
     fb_rmsres, hb_rmsres = [], []
-    for trace in dataset:
-        errors = [predict_epoch(e, fb_predictor).error for e in trace]
-        fb_rmsres.append(rmsre(errors))
-        hb_rmsres.append(trace_rmsre(trace, hb_factory))
+    for trace, start, stop in zip(dataset, bounds[:-1], bounds[1:]):
+        fb_rmsres.append(rmsre(errors[start:stop]))
+        hb_rmsres.append(trace_rmsre(trace, hb_factory, memo=memo))
     return FbHbComparison(
         fb=Cdf.from_values(fb_rmsres, label="FB per-trace RMSRE"),
         hb=Cdf.from_values(hb_rmsres, label="HB (HW-LSO) per-trace RMSRE"),
@@ -288,16 +294,16 @@ def cov_correlation(
     length; the RMSRE likewise excludes outlier epochs.
     """
     hb_factory = hb_factory or with_lso(hw())
+    memo = dataset_memo(dataset)
     covs, rmsres_ = [], []
     for trace in dataset:
-        series = trace.throughput_series()
-        seg = lso_segmentation(series.values)
+        seg = memo.segmentation(trace)
         try:
             covs.append(seg.weighted_cov())
         except DataError:
             continue
         rmsres_.append(
-            trace_rmsre(trace, hb_factory, exclude_outliers=True)
+            trace_rmsre(trace, hb_factory, exclude_outliers=True, memo=memo)
         )
     if len(covs) < 2:
         raise DataError("not enough traces for the CoV relation")
@@ -345,11 +351,12 @@ def path_classes(
     """Fig. 21: per-path, per-trace RMSRE for the standard predictor set,
     plus the four-way predictability class (based on HW-LSO)."""
     predictors = predictors or FIG21_PREDICTORS
+    memo = dataset_memo(dataset)
     classes = []
     for path_id in dataset.path_ids:
         traces = dataset.traces_for(path_id)
         by_predictor = {
-            name: [trace_rmsre(t, factory) for t in traces]
+            name: [trace_rmsre(t, factory, memo=memo) for t in traces]
             for name, factory in predictors.items()
         }
         reference = by_predictor.get("HW-LSO") or next(iter(by_predictor.values()))
@@ -403,6 +410,7 @@ def lossy_path_correlation(
         DataError: when fewer than three paths qualify.
     """
     hb_factory = hb_factory or with_lso(hw())
+    memo = dataset_memo(dataset)
     loss_rates, rmsres_, ids = [], [], []
     for path_id in dataset.path_ids:
         epochs = dataset.epochs(path_id)
@@ -411,7 +419,9 @@ def lossy_path_correlation(
             continue
         traces = dataset.traces_for(path_id)
         loss_rates.append(mean_loss)
-        rmsres_.append(float(np.mean([trace_rmsre(t, hb_factory) for t in traces])))
+        rmsres_.append(
+            float(np.mean([trace_rmsre(t, hb_factory, memo=memo) for t in traces]))
+        )
         ids.append(path_id)
     if len(ids) < 3:
         raise DataError(
@@ -443,13 +453,15 @@ def window_limited_hb(
 ) -> list[HbWindowComparison]:
     """Fig. 22: HB RMSRE on W = 1 MB vs W = 20 KB series, per path."""
     hb_factory = hb_factory or with_lso(hw())
+    memo = dataset_memo(dataset)
     comparisons = []
     for path_id in dataset.path_ids:
         traces = dataset.traces_for(path_id)
         try:
-            large = [trace_rmsre(t, hb_factory) for t in traces]
+            large = [trace_rmsre(t, hb_factory, memo=memo) for t in traces]
             small = [
-                trace_rmsre(t, hb_factory, small_window=True) for t in traces
+                trace_rmsre(t, hb_factory, small_window=True, memo=memo)
+                for t in traces
             ]
         except DataError:
             continue
@@ -487,14 +499,14 @@ def interval_effect(
         "24min": 8,
         "45min": 15,
     }
+    memo = dataset_memo(dataset)
     cdfs: dict[str, Cdf] = {}
     for label, factor in downsample_factors.items():
         rmsres_ = []
         for trace in dataset:
-            series = trace.throughput_series().downsample(factor)
-            if len(series) < 5:
+            if len(memo.series(trace, downsample=factor)) < 5:
                 continue
-            evaluation = evaluate_predictor(series, hb_factory)
+            evaluation = memo.evaluation(trace, hb_factory, downsample=factor)
             if evaluation.valid_errors.size == 0:
                 continue
             rmsres_.append(rmsre(evaluation.valid_errors))

@@ -7,19 +7,20 @@ wall times) is recorded and written as ``X.analysis.manifest.json`` +
 ``repro-obs summary`` and gated by ``repro-obs bench check``.  Set
 ``REPRO_OBS=0`` to disable telemetry (no sidecars are written).
 
-The HB figures run in two phases: a **warm phase** pre-computes every
-predictor walk the requested figures will need — optionally in parallel
-(``--workers N``) and against a persistent content-addressed cache
-(``~/.cache/repro/evals``, see :mod:`repro.analysis.evalcache`) — then
-the figure renderers run with the cache activated and only take hits.
-Rendered output is byte-identical whatever the worker count, engine, or
-cache state (``make analyze-parity`` checks this).
+The run is one in-process pass over the dataset: the figures share a
+per-dataset memo (:mod:`repro.analysis.memo`), so each HB walk is
+computed once and the FB predictor runs once per distinct predictor, as
+one array pass over every epoch.  Nothing is written besides the
+sidecars.  Rendered output is byte-identical whatever the HB engine, and
+from one run to the next (``make analyze-parity`` checks both).
+
+A missing, unreadable or malformed dataset fails before any figure is
+computed, with one ``repro-analyze: error: ...`` line and exit status 2.
 
 Examples::
 
     repro-analyze may.csv                      # every applicable figure
     repro-analyze may.csv --figures 2 19 20    # a subset
-    repro-analyze may.csv --workers 4          # parallel warm phase
     repro-analyze may.csv --hb-engine scalar   # pin the scalar oracle
     repro-analyze march.csv --figures 11
     repro-obs summary may.analysis.manifest.json
@@ -35,8 +36,6 @@ from collections.abc import Callable
 from pathlib import Path
 
 from repro.analysis import fb_eval, hb_eval
-from repro.analysis.evalcache import EvaluationCache
-from repro.analysis.parallel import warm_eval_cache
 from repro.hb.vector_eval import ENV_HB_VECTOR
 from repro.analysis.report import (
     render_bar_table,
@@ -197,32 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"figure numbers to produce (available: {sorted(FIGURES)})",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the HB warm phase (0 = all CPUs); "
-        "rendered output is identical at any worker count",
-    )
-    parser.add_argument(
         "--hb-engine",
         choices=("vector", "scalar"),
         default=None,
         help="pin the HB evaluation engine for this run (default: the "
         f"{ENV_HB_VECTOR} environment variable, vector when unset)",
-    )
-    parser.add_argument(
-        "--no-eval-cache",
-        action="store_true",
-        help="do not read or write the persistent evaluation cache "
-        "(walks are still shared in-memory across this run's figures)",
-    )
-    parser.add_argument(
-        "--eval-cache-dir",
-        metavar="DIR",
-        default=None,
-        help="evaluation cache directory (default: $REPRO_EVAL_CACHE_DIR "
-        "or ~/.cache/repro/evals)",
     )
     parser.add_argument(
         "--profile",
@@ -257,31 +235,36 @@ def _flush_phase_timers(clock, telemetry) -> None:
         timer.observe(seconds)
 
 
+def _error(message: str) -> int:
+    """Report a usage or input problem as one line; exit status 2."""
+    print(f"repro-analyze: error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     dataset_path = Path(args.dataset)
     wanted = args.figures or sorted(FIGURES)
-    if args.hb_engine is not None:
-        # Workers inherit the environment, so one flag pins both the
-        # in-process figure renders and the warm-phase fan-out.
-        os.environ[ENV_HB_VECTOR] = "1" if args.hb_engine == "vector" else "0"
-
+    if not dataset_path.is_file():
+        return _error(f"dataset not found: {args.dataset}")
     telemetry = get_telemetry()
     observing = telemetry.enabled
+    if observing and not os.access(dataset_path.parent, os.W_OK):
+        return _error(
+            f"cannot write the telemetry sidecars next to the dataset: "
+            f"{dataset_path.parent} is not writable (set REPRO_OBS=0 to skip them)"
+        )
+    if args.hb_engine is not None:
+        os.environ[ENV_HB_VECTOR] = "1" if args.hb_engine == "vector" else "0"
+
     recorder = RunRecorder(
         label=dataset_path.name,
         kind="analysis",
-        cache_key=(
-            _dataset_identity(dataset_path)
-            if observing and dataset_path.is_file()
-            else ""
-        ),
+        cache_key=_dataset_identity(dataset_path) if observing else "",
         settings={
             "dataset": str(args.dataset),
             "figures": list(wanted),
-            "workers": args.workers,
             "hb_engine": args.hb_engine,
-            "eval_cache": not args.no_eval_cache,
         },
     ).start()
     clock = telemetry.phase_clock()
@@ -293,67 +276,51 @@ def main(argv: list[str] | None = None) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
 
-    dataset = load_dataset(args.dataset)
+    try:
+        dataset = load_dataset(args.dataset)
+    except (ReproError, OSError) as exc:
+        if profiler is not None:
+            profiler.disable()
+        telemetry.clear_context()
+        return _error(f"cannot load dataset {args.dataset}: {exc}")
     clock.lap("load")
-
-    cache = EvaluationCache(args.eval_cache_dir, memory_only=args.no_eval_cache)
-    warm = warm_eval_cache(
-        dataset, str(dataset_path), wanted, cache, n_workers=args.workers
-    )
-    clock.lap("warm")
-    telemetry.emit(
-        "analysis.warm",
-        planned=warm.planned,
-        cached=warm.cached,
-        computed=warm.computed,
-        workers=warm.workers,
-    )
-    if warm.planned:
-        print(
-            f"warm phase: {warm.computed} evaluations computed, "
-            f"{warm.cached} cached, workers={warm.workers}",
-            file=sys.stderr,
-        )
 
     status = 0
     rendered: list[int] = []
     skipped: list[int] = []
     try:
-        with cache.activated():
-            print(dataset.summary())
-            for number in wanted:
-                renderer = FIGURES.get(number)
-                if renderer is None:
-                    print(
-                        f"\n[fig {number}] no renderer (available: {sorted(FIGURES)})"
-                    )
-                    status = 2
-                    clock.lap(f"fig{number}")
-                    telemetry.emit("figure", figure=number, status="unknown")
-                    continue
-                print()
-                try:
-                    print(renderer(dataset))
-                except ReproError as exc:
-                    print(f"[fig {number}] not derivable from this dataset: {exc}")
-                    clock.lap(f"fig{number}")
-                    skipped.append(number)
-                    telemetry.emit(
-                        "figure",
-                        figure=number,
-                        status="skipped",
-                        wall_s=clock.phases.get(f"fig{number}", 0.0),
-                        reason=str(exc),
-                    )
-                else:
-                    clock.lap(f"fig{number}")
-                    rendered.append(number)
-                    telemetry.emit(
-                        "figure",
-                        figure=number,
-                        status="ok",
-                        wall_s=clock.phases.get(f"fig{number}", 0.0),
-                    )
+        print(dataset.summary())
+        for number in wanted:
+            renderer = FIGURES.get(number)
+            if renderer is None:
+                print(f"\n[fig {number}] no renderer (available: {sorted(FIGURES)})")
+                status = 2
+                clock.lap(f"fig{number}")
+                telemetry.emit("figure", figure=number, status="unknown")
+                continue
+            print()
+            try:
+                print(renderer(dataset))
+            except ReproError as exc:
+                print(f"[fig {number}] not derivable from this dataset: {exc}")
+                clock.lap(f"fig{number}")
+                skipped.append(number)
+                telemetry.emit(
+                    "figure",
+                    figure=number,
+                    status="skipped",
+                    wall_s=clock.phases.get(f"fig{number}", 0.0),
+                    reason=str(exc),
+                )
+            else:
+                clock.lap(f"fig{number}")
+                rendered.append(number)
+                telemetry.emit(
+                    "figure",
+                    figure=number,
+                    status="ok",
+                    wall_s=clock.phases.get(f"fig{number}", 0.0),
+                )
     except BrokenPipeError:
         # Downstream pipe closed (e.g. `repro-analyze ds.csv | head`).
         status = 0
@@ -372,10 +339,6 @@ def main(argv: list[str] | None = None) -> int:
                 "dataset": str(args.dataset),
                 "figures": rendered,
                 "skipped": skipped,
-                "warm_planned": warm.planned,
-                "warm_cached": warm.cached,
-                "warm_computed": warm.computed,
-                "workers": warm.workers,
             }
         },
     )

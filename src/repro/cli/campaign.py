@@ -16,6 +16,9 @@ failed or hung jobs are retried with capped exponential backoff, and a
 run that still dies can be continued with ``--resume`` — only the
 missing traces are simulated, and the reassembled dataset is
 bit-identical to an uninterrupted run.  See ``docs/robustness.md``.
+An output path whose directory is missing or unwritable is rejected
+with one ``repro-campaign: error: ...`` line (exit status 2) before any
+simulation, cache or checkpoint work.
 
 Examples::
 
@@ -32,7 +35,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
+from pathlib import Path
 
 from repro.core.cachekey import stable_fingerprint
 from repro.core.errors import ExecutionError
@@ -198,11 +203,26 @@ def _print_progress(snapshot: CampaignProgress) -> None:
     sys.stderr.flush()
 
 
+def _output_problem(output: str) -> str | None:
+    """Why ``output`` cannot be written, or ``None`` when it can."""
+    path = Path(output)
+    if path.is_dir():
+        return f"output path is a directory: {output}"
+    if not path.parent.is_dir():
+        return f"output directory does not exist: {path.parent}"
+    if not os.access(path.parent, os.W_OK | os.X_OK):
+        return f"output directory is not writable: {path.parent}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    problem = _output_problem(args.output)
+    if problem is not None:
+        # Checked before any simulation, cache or checkpoint work.
+        print(f"repro-campaign: error: {problem}", file=sys.stderr)
+        return 2
     if args.fluid_engine is not None:
-        import os
-
         os.environ[ENV_FLUID_VECTOR] = "1" if args.fluid_engine == "vector" else "0"
     catalog = CATALOGS[args.catalog]()
     if args.paths is not None:

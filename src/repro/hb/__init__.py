@@ -19,12 +19,7 @@ errors and RMSRE used by every HB figure of the paper.
 
 from repro.hb.autoregressive import AutoRegressive
 from repro.hb.base import HistoryPredictor, PredictorFactory
-from repro.hb.evaluate import (
-    HbEvaluation,
-    active_eval_cache,
-    evaluate_predictor,
-    set_active_eval_cache,
-)
+from repro.hb.evaluate import HbEvaluation, evaluate_predictor
 from repro.hb.ewma import Ewma
 from repro.hb.hybrid import HybridPredictor
 from repro.hb.holt_winters import HoltWinters
@@ -68,12 +63,10 @@ __all__ = [
     "PredictorSpec",
     "StreamingLso",
     "StreamingPredictorState",
-    "active_eval_cache",
     "detect_level_shift",
     "detect_outliers",
     "evaluate_predictor",
     "hb_vector_enabled",
     "offline_twin",
-    "set_active_eval_cache",
     "vector_walk",
 ]

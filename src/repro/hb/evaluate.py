@@ -22,18 +22,14 @@ RMSRE of Fig. 20.  It follows the same split: an incremental O(n) pass
 with precheck-gated detector calls by default, the original
 re-scan-everything loop as the oracle.
 
-An evaluation cache (:mod:`repro.analysis.evalcache`) can be installed
-with :func:`set_active_eval_cache`; :func:`evaluate_predictor` then
-consults it before walking and records fresh results after.  The hook
-lives here (rather than in the analysis layer) so cache activation does
-not create an hb -> analysis import cycle.
+Every call computes its walk; sharing walks across figures is the
+analysis layer's per-dataset memo (:mod:`repro.analysis.memo`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Protocol
 
 import numpy as np
 
@@ -102,50 +98,6 @@ class HbEvaluation:
         return float(np.mean(np.abs(errors)))
 
 
-class EvaluationCacheHook(Protocol):
-    """What :func:`evaluate_predictor` asks of an installed cache."""
-
-    def lookup(
-        self,
-        series: TimeSeries,
-        predictor: object,
-        lso_config: LsoConfig | None,
-    ) -> "HbEvaluation | None":
-        """A previously recorded evaluation, or None on a miss."""
-        ...
-
-    def record(
-        self,
-        series: TimeSeries,
-        predictor: object,
-        lso_config: LsoConfig | None,
-        evaluation: "HbEvaluation",
-    ) -> None:
-        """Persist a freshly computed evaluation."""
-        ...
-
-
-_ACTIVE_EVAL_CACHE: EvaluationCacheHook | None = None
-
-
-def set_active_eval_cache(
-    cache: EvaluationCacheHook | None,
-) -> EvaluationCacheHook | None:
-    """Install (or clear, with ``None``) the process-wide evaluation cache.
-
-    Returns the previously installed cache so callers can restore it.
-    """
-    global _ACTIVE_EVAL_CACHE
-    previous = _ACTIVE_EVAL_CACHE
-    _ACTIVE_EVAL_CACHE = cache
-    return previous
-
-
-def active_eval_cache() -> EvaluationCacheHook | None:
-    """The currently installed evaluation cache, if any."""
-    return _ACTIVE_EVAL_CACHE
-
-
 def evaluate_predictor(
     series: TimeSeries,
     factory: PredictorFactory,
@@ -180,12 +132,6 @@ def evaluate_predictor(
     predictor = factory()
     name = getattr(predictor, "name", type(predictor).__name__)
 
-    cache = _ACTIVE_EVAL_CACHE
-    if cache is not None:
-        cached = cache.lookup(series, predictor, lso_config)
-        if cached is not None:
-            return cached
-
     started = perf_counter()
     predictions = vector_walk(values, predictor) if hb_vector_enabled() else None
     if predictions is not None:
@@ -208,16 +154,13 @@ def evaluate_predictor(
     if lso_config is not None:
         outliers = frozenset(lso_segmentation(values, lso_config).outlier_indices)
 
-    evaluation = HbEvaluation(
+    return HbEvaluation(
         predictor_name=name,
         series_name=series.name,
         predictions=predictions,
         errors=errors,
         outlier_indices=outliers,
     )
-    if cache is not None:
-        cache.record(series, predictor, lso_config, evaluation)
-    return evaluation
 
 
 def _scalar_walk(

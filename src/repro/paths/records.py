@@ -154,10 +154,14 @@ class Dataset:
     Attributes:
         label: dataset name (e.g. "may-2004").
         traces: all collected traces.
+        memo: quantities the analysis layer derived from this dataset
+            (see :mod:`repro.analysis.memo`); never compared, printed,
+            or passed to the constructor.
     """
 
     label: str
     traces: list[Trace] = field(default_factory=list)
+    memo: object | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.traces)

@@ -94,6 +94,13 @@ def load_dataset(path: str | Path) -> Dataset:
         DataError: on malformed files.
     """
     path = Path(path)
+    try:
+        return _read_dataset(path)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path} is not a dataset CSV: {exc}") from exc
+
+
+def _read_dataset(path: Path) -> Dataset:
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -114,7 +121,12 @@ def load_dataset(path: str | Path) -> Dataset:
         dataset = Dataset(label=label)
         traces: dict[tuple[str, int], Trace] = {}
         for row in reader:
-            epoch = _parse_row(row, path, legacy)
+            try:
+                epoch = _parse_row(row, path, legacy)
+            except ValueError as exc:
+                raise DataError(
+                    f"{path}: malformed row {reader.line_num}: {exc}"
+                ) from exc
             key = (epoch.path_id, epoch.trace_index)
             if key not in traces:
                 traces[key] = Trace(path_id=epoch.path_id, trace_index=epoch.trace_index)

@@ -128,6 +128,21 @@ class TestCampaignCommand:
         assert captured.out == ""
         assert captured.err == ""
 
+    @pytest.mark.parametrize("target", ["missing/dir/x.csv", "."])
+    def test_bad_output_rejected_before_any_work(self, tmp_path, capsys, target):
+        code = campaign.main(
+            ["--paths", "2", "--traces", "1", "--epochs", "3",
+             "-o", str(tmp_path / target)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro-campaign: error: ")
+        assert captured.out == ""
+        # No simulation ran: neither a cache entry nor a checkpoint exists.
+        assert not (tmp_path / "dataset-cache").exists()
+        assert not (tmp_path / "checkpoints").exists()
+
     def test_progress_render_guards_zero_elapsed(self):
         """The first trace can finish inside the clock resolution; the
         rate/ETA math must not divide by zero."""
@@ -215,7 +230,115 @@ class TestAnalyzeCommand:
         assert "no renderer" in capsys.readouterr().out
 
 
+class TestAnalyzeInputErrors:
+    @staticmethod
+    def _one_error_line(capsys) -> str:
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("repro-analyze: error: ")
+        return lines[0]
+
+    def test_missing_dataset(self, tmp_path, capsys):
+        assert analyze.main([str(tmp_path / "nope.csv")]) == 2
+        assert "nope.csv" in self._one_error_line(capsys)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not,a,dataset\n",
+            "# dataset,x\nwrong,columns\n",
+            "\xff\xfe binary",
+        ],
+    )
+    def test_malformed_dataset(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(text.encode("latin-1"))
+        assert analyze.main([str(bad)]) == 2
+        assert "bad.csv" in self._one_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+    def test_malformed_row(self, saved_dataset, tmp_path, capsys):
+        lines = saved_dataset.read_text().splitlines(keepends=True)
+        fields = lines[2].split(",")
+        fields[7] = "fast"  # the throughput column
+        bad = tmp_path / "row.csv"
+        bad.write_text("".join(lines[:2]) + ",".join(fields))
+        assert analyze.main([str(bad)]) == 2
+        assert "malformed row 3" in self._one_error_line(capsys)
+
+
+class TestAnalyzeWritesOnlySidecars:
+    def test_no_files_besides_the_analysis_sidecars(self, saved_dataset, tmp_path):
+        import os
+        import shutil
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        home = tmp_path / "home"
+        work = tmp_path / "work"
+        home.mkdir()
+        work.mkdir()
+        dataset = work / "ds.csv"
+        shutil.copy(saved_dataset, dataset)
+        src = Path(analyze.__file__).resolve().parents[2]
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(src),
+            "HOME": str(home),
+            "XDG_CACHE_HOME": str(home / ".cache"),
+            "REPRO_EVAL_CACHE_DIR": str(home / "evals"),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        }
+        env.pop("REPRO_OBS", None)
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli.analyze", str(dataset)],
+            env=env, cwd=work, check=True, capture_output=True,
+        )
+        written = sorted(
+            str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()
+        )
+        assert written == [
+            "work/ds.analysis.events.jsonl",
+            "work/ds.analysis.manifest.json",
+            "work/ds.csv",
+        ]
+
+
 class TestAnalyzeTelemetry:
+    def test_fb_counted_once_per_pass(self, saved_dataset, capsys, monkeypatch):
+        """One FB array pass per distinct predictor (W = 1 MB for Figs.
+        2-12 and 19, W = 20 KB for Fig. 12): predictions.made{predictor=fb}
+        is the epoch count per pass, with one predict.wall_s sample each."""
+        import json
+
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        assert analyze.main([str(saved_dataset)]) == 0
+        capsys.readouterr()
+        manifest = json.loads(
+            saved_dataset.with_name("ds.analysis.manifest.json").read_text()
+        )
+        n_epochs = manifest["counts"]["epochs"]
+        made = sum(
+            c["value"] for c in manifest["counters"]
+            if c["name"] == "predictions.made"
+            and c["tags"].get("predictor") == "fb"
+        )
+        assert made == 2 * n_epochs
+        selected = sum(
+            c["value"] for c in manifest["counters"]
+            if c["name"] == "fb.model_selected"
+        )
+        assert selected >= made  # plus Fig. 6's during-flow inputs
+        (timer,) = [
+            t for t in manifest["timers"]
+            if t["name"] == "predict.wall_s" and t["tags"] == {"predictor": "fb"}
+        ]
+        assert timer["count"] == 2
+
     def test_writes_analysis_sidecars(self, saved_dataset, capsys, monkeypatch):
         import json
 

@@ -1,7 +1,8 @@
 """The combined FB predictor (paper Eq. (3))."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, PredictionError
@@ -107,3 +108,78 @@ class TestFbPredictor:
         )
         limit = 20_000 * 8 / 0.1 / 1e6
         assert fb.predict_from(0.1, 1e-6) <= limit * 1.0001
+
+
+# ---------------------------------------------------------------------
+# predict_array: the array pass must equal predict() element by element
+# ---------------------------------------------------------------------
+
+_PRESETS = {
+    "congestion_limited": TcpParameters.congestion_limited(),
+    "window_limited": TcpParameters.window_limited(),
+}
+
+#: One epoch's a priori estimates: (rtt_s, loss_rate, availbw_mbps);
+#: a third of them lossless, as in the campaign datasets.
+_epochs = st.tuples(
+    st.floats(min_value=1e-4, max_value=5.0),
+    st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=0.99)),
+    st.floats(min_value=1e-3, max_value=1e4),
+)
+
+
+def _scalar(fb: FormulaBasedPredictor, epochs) -> np.ndarray:
+    return np.asarray(
+        [fb.predict(PathEstimates(rtt, loss, availbw)) for rtt, loss, availbw in epochs],
+        dtype=float,
+    )
+
+
+class TestPredictArray:
+    @given(
+        st.lists(_epochs, min_size=1, max_size=40),
+        st.sampled_from(sorted(_PRESETS)),
+    )
+    @example(epochs=[(0.5, 0.0, 1.0)], preset="window_limited")
+    @example(epochs=[(0.05, 0.01, 3.0), (0.05, 0.0, 3.0)], preset="congestion_limited")
+    @example(epochs=[(2.0, 0.5, 1.0)], preset="congestion_limited")  # RTO above 1 s
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_scalar(self, epochs, preset):
+        fb = FormulaBasedPredictor(tcp=_PRESETS[preset])
+        rtt, loss, availbw = (np.asarray(column) for column in zip(*epochs))
+        vector = fb.predict_array(rtt, loss, availbw)
+        assert vector.tobytes() == _scalar(fb, epochs).tobytes()
+
+    @pytest.mark.parametrize("model", sorted(MODEL_VARIANTS))
+    def test_every_model_variant_bit_identical(self, model):
+        fb = FormulaBasedPredictor(model=model)
+        epochs = [(0.02, 0.001, 40.0), (0.3, 0.0, 2.0), (0.7, 0.08, 1.0)]
+        rtt, loss, availbw = (np.asarray(column) for column in zip(*epochs))
+        assert fb.predict_array(rtt, loss, availbw).tobytes() == _scalar(fb, epochs).tobytes()
+
+    def test_lossless_without_availbw_is_the_scalar_error(self):
+        fb = FormulaBasedPredictor()
+        with pytest.raises(PredictionError) as scalar:
+            fb.predict(PathEstimates(rtt_s=0.1, loss_rate=0.0))
+        for availbw in (None, np.array([4.0, np.nan])):
+            with pytest.raises(PredictionError) as vector:
+                fb.predict_array(np.array([0.1, 0.1]), np.array([0.01, 0.0]), availbw)
+            assert str(vector.value) == str(scalar.value)
+
+    def test_missing_availbw_is_fine_on_lossy_epochs(self):
+        fb = FormulaBasedPredictor()
+        predicted = fb.predict_array(np.array([0.1]), np.array([0.01]))
+        assert predicted[0] == fb.predict(PathEstimates(rtt_s=0.1, loss_rate=0.01))
+
+    @pytest.mark.parametrize(
+        "rtt, loss, availbw",
+        [(0.0, 0.01, 1.0), (0.1, 1.0, 1.0), (0.1, -0.1, 1.0), (0.1, 0.0, -2.0)],
+    )
+    def test_invalid_estimates_rejected_like_path_estimates(self, rtt, loss, availbw):
+        with pytest.raises(ConfigurationError) as scalar:
+            PathEstimates(rtt, loss, availbw)
+        with pytest.raises(ConfigurationError) as vector:
+            FormulaBasedPredictor().predict_array(
+                np.array([0.1, rtt]), np.array([0.01, loss]), np.array([1.0, availbw])
+            )
+        assert str(vector.value) == str(scalar.value)

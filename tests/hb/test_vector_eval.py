@@ -5,13 +5,13 @@ LsoConfigs — is walked over a grid of traces (noisy, spiky,
 level-shifted, tiny) by both engines, and the per-epoch predictions and
 errors must compare equal *as bytes*, not approximately.  The same bar
 applies to the O(n) ``lso_segmentation`` rewrite and to evaluations
-served from the evaluation cache.
+shared through the per-dataset analysis memo.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.evalcache import EvaluationCache, derive_spec, spec_factory
+from repro.analysis.memo import AnalysisMemo, derive_spec
 from repro.core.errors import DataError
 from repro.core.timeseries import TimeSeries
 from repro.hb.autoregressive import AutoRegressive
@@ -22,6 +22,7 @@ from repro.hb.lso import LsoConfig
 from repro.hb.moving_average import MovingAverage
 from repro.hb.vector_eval import ENV_HB_VECTOR, hb_vector_enabled, vector_walk
 from repro.hb.wrappers import LsoPredictor
+from repro.paths.records import Dataset, EpochMeasurement, Trace
 
 # ---------------------------------------------------------------------
 # Trace grid
@@ -174,68 +175,104 @@ def test_segmentation_rejects_nonpositive(monkeypatch, engine):
 
 
 # ---------------------------------------------------------------------
-# Evaluation cache
+# Evaluation memo
 # ---------------------------------------------------------------------
 
 
-def test_cache_hit_is_bit_identical_to_cold_walk(tmp_path):
+def _dataset(*named_values):
+    """A one-path dataset holding one trace per value array."""
+    traces = []
+    for index, values in enumerate(named_values):
+        trace = Trace(path_id="p", trace_index=index)
+        for k, value in enumerate(values):
+            trace.append(
+                EpochMeasurement(
+                    path_id="p", trace_index=index, epoch_index=k,
+                    start_time_s=float(k), ahat_mbps=50.0, phat=0.0,
+                    that_s=0.05, throughput_mbps=float(value),
+                    ptilde=0.0, ttilde_s=0.05,
+                )
+            )
+        traces.append(trace)
+    return Dataset(label="memo", traces=traces)
+
+
+def test_cache_hit_is_bit_identical_to_cold_walk():
     values = TRACES["adversarial"]
     factory = _lso_variants(FACTORIES["HW"])["lso"]
     cold = evaluate_predictor(series(values), factory, lso_config=LsoConfig())
-    cache = EvaluationCache(tmp_path)
-    with cache.activated():
-        recorded = evaluate_predictor(series(values), factory, lso_config=LsoConfig())
-    # A fresh cache object forces the disk round trip rather than the memo.
-    with EvaluationCache(tmp_path).activated():
-        hit = evaluate_predictor(series(values), factory, lso_config=LsoConfig())
+    dataset = _dataset(values)
+    memo = AnalysisMemo(dataset)
+    trace = dataset.traces[0]
+    recorded = memo.evaluation(trace, factory, lso_config=LsoConfig())
+    hit = memo.evaluation(trace, factory, lso_config=LsoConfig())
     for result in (recorded, hit):
         assert result.predictions.tobytes() == cold.predictions.tobytes()
         assert result.errors.tobytes() == cold.errors.tobytes()
         assert result.outlier_indices == cold.outlier_indices
         assert result.predictor_name == cold.predictor_name
-        assert result.series_name == cold.series_name
+    assert memo.evaluation(trace, factory) is memo.evaluation(trace, factory)
 
 
-def test_cache_key_separates_series_spec_and_config(tmp_path):
-    cache = EvaluationCache(tmp_path)
-    with cache.activated():
-        a = evaluate_predictor(series(TRACES["noisy"]), FACTORIES["10-MA"])
-        b = evaluate_predictor(series(TRACES["spiky"]), FACTORIES["10-MA"])
-        c = evaluate_predictor(series(TRACES["noisy"]), FACTORIES["1-MA"])
+def test_cache_key_separates_series_spec_and_config():
+    dataset = _dataset(TRACES["noisy"], TRACES["spiky"])
+    memo = AnalysisMemo(dataset)
+    noisy, spiky = dataset.traces
+    a = memo.evaluation(noisy, FACTORIES["10-MA"])
+    b = memo.evaluation(spiky, FACTORIES["10-MA"])
+    c = memo.evaluation(noisy, FACTORIES["1-MA"])
+    d = memo.evaluation(noisy, FACTORIES["10-MA"], downsample=2)
     assert a.predictions.tobytes() != b.predictions.tobytes()
     assert a.predictions.tobytes() != c.predictions.tobytes()
+    assert len(d.predictions) < len(a.predictions)
+    loose = LsoConfig(level_shift_threshold=0.9, outlier_threshold=0.9)
+    strict = LsoConfig(level_shift_threshold=0.05, outlier_threshold=0.05)
+    assert (
+        memo.evaluation(spiky, FACTORIES["10-MA"], lso_config=loose).outlier_indices
+        != memo.evaluation(spiky, FACTORIES["10-MA"], lso_config=strict).outlier_indices
+    )
 
 
-def test_corrupt_cache_entry_reads_as_miss(tmp_path):
-    cache = EvaluationCache(tmp_path)
-    with cache.activated():
-        evaluate_predictor(series(TRACES["noisy"]), FACTORIES["10-MA"])
-    entries = list(tmp_path.glob("*.npz"))
-    assert entries
-    entries[0].write_bytes(b"not an npz")
-    fresh = EvaluationCache(tmp_path)
-    assert fresh.get(entries[0].stem) is None
-    assert entries[0].with_name(entries[0].name + ".corrupt").exists()
+def _from_spec(spec):
+    """Build a predictor from a spec's parts (the inverse of derive_spec)."""
+    kind = spec[0]
+    if kind == "ma":
+        return MovingAverage(spec[1])
+    if kind == "ewma":
+        return Ewma(spec[1])
+    if kind == "hw":
+        return HoltWinters(spec[1], spec[2])
+    if kind == "ar":
+        return AutoRegressive(spec[1], spec[2], spec[3])
+    assert kind == "lso"
+    return LsoPredictor(
+        lambda: _from_spec(spec[1]), LsoConfig(spec[2], spec[3]), spec[4]
+    )
 
 
 def test_spec_round_trip():
+    """A spec names every constructor parameter: rebuilding a predictor
+    from it yields the same spec — what makes it a sound memo key."""
     for factory in FACTORIES.values():
         spec = derive_spec(factory())
         assert spec is not None
-        rebuilt = spec_factory(spec)()
-        assert derive_spec(rebuilt) == spec
+        assert derive_spec(_from_spec(spec)) == spec
     wrapped = LsoPredictor(FACTORIES["HW"], LsoConfig(0.2, 0.3), harden=False)
     spec = derive_spec(wrapped)
     assert spec == ("lso", ("hw", 0.8, 0.2), 0.2, 0.3, False)
-    assert derive_spec(spec_factory(spec)()) == spec
+    assert derive_spec(_from_spec(spec)) == spec
 
 
-def test_unknown_predictor_type_is_not_cached(tmp_path):
+def test_unknown_predictor_type_is_not_cached():
     class Custom(MovingAverage):
         pass
 
     assert derive_spec(Custom(5)) is None
-    cache = EvaluationCache(tmp_path)
-    with cache.activated():
-        evaluate_predictor(series(TRACES["noisy"]), lambda: Custom(5))
-    assert not list(tmp_path.glob("*.npz"))
+    assert derive_spec(LsoPredictor(lambda: Custom(5))) is None
+    dataset = _dataset(TRACES["noisy"])
+    memo = AnalysisMemo(dataset)
+    trace = dataset.traces[0]
+    first = memo.evaluation(trace, lambda: Custom(5))
+    second = memo.evaluation(trace, lambda: Custom(5))
+    assert first is not second
+    assert first.predictions.tobytes() == second.predictions.tobytes()

@@ -1,18 +1,16 @@
 """``make analyze-parity``: prove the analysis pipeline output-identical.
 
-Builds one campaign dataset, then runs ``repro-analyze`` on it five
-ways — the scalar HB oracle (the reference), the vectorized engine at
-each requested worker count (each against a fresh evaluation-cache
-directory), and finally a warm rerun against the now-populated cache —
-and requires every run's rendered stdout to be *byte-identical* to the
-reference.  The warm rerun must additionally have computed nothing:
-every HB walk must have come out of the cache.
+Builds one campaign dataset, then runs ``repro-analyze`` on it three
+times: with the scalar HB oracle (the reference), with the vectorized
+engine, and with the vectorized engine again.  Every run's rendered
+stdout must be *byte-identical* to the reference — the second vector
+run proves a rerun reproduces the first exactly, and nothing a run
+leaves behind (only its telemetry sidecars) changes the next one.
 
-The default invocation covers the acceptance bar of the vectorized
-analysis work: the full default catalog (may2004, 35 paths x 7 traces
-x 150 epochs, seed 0).  ``--paths/--traces/--epochs`` shrink the
-dataset for quick iteration; the reduced grid is what ``make test``
-runs.
+The default invocation covers the full default catalog (may2004, 35
+paths x 7 traces x 150 epochs, seed 0).  ``--paths/--traces/--epochs``
+shrink the dataset for quick iteration; the reduced grid is what ``make
+test`` runs.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -36,42 +33,23 @@ from repro.testbed.campaign import Campaign, CampaignSettings  # noqa: E402
 from repro.testbed.io import save_dataset  # noqa: E402
 
 
-def run_analyze(
-    dataset: Path, cache_dir: Path, engine: str, workers: int
-) -> tuple[str, str, str]:
-    """One ``repro-analyze`` subprocess; returns (stdout sha256, stdout, stderr)."""
+def run_analyze(dataset: Path, engine: str) -> str:
+    """One ``repro-analyze`` subprocess; returns its stdout sha256."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_SRC)
-    env["REPRO_EVAL_CACHE_DIR"] = str(cache_dir)
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli.analyze",
-            str(dataset),
-            "--hb-engine",
-            engine,
-            "--workers",
-            str(workers),
-        ],
+        [sys.executable, "-m", "repro.cli.analyze", str(dataset), "--hb-engine", engine],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-    return digest, proc.stdout, proc.stderr
-
-
-def warm_computed(stderr: str) -> int | None:
-    """Evaluations the run computed fresh, parsed from the warm-phase note."""
-    match = re.search(r"warm phase: (\d+) evaluations computed", stderr)
-    return int(match.group(1)) if match else None
+    return hashlib.sha256(proc.stdout.encode()).hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Diff repro-analyze output across engines, workers, and cache state."
+        description="Diff repro-analyze output across HB engines and reruns."
     )
     parser.add_argument(
         "--paths", type=int, default=None, metavar="N",
@@ -86,10 +64,6 @@ def main(argv: list[str] | None = None) -> int:
         help="epochs per trace (default: 150, the paper's)",
     )
     parser.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    parser.add_argument(
-        "--workers", type=int, nargs="+", default=[1, 2, 4], metavar="N",
-        help="worker counts for the vectorized runs (default: 1 2 4)",
-    )
     args = parser.parse_args(argv)
 
     catalog = may_2004_catalog()
@@ -101,45 +75,22 @@ def main(argv: list[str] | None = None) -> int:
         f"x {args.epochs} epochs, seed {args.seed}"
     )
 
-    failed = False
     with tempfile.TemporaryDirectory(prefix="analyze-parity-") as tmp:
-        workdir = Path(tmp)
-        dataset = workdir / "parity.csv"
-        save_dataset(
-            Campaign(catalog, seed=args.seed).run(settings), dataset
-        )
-
-        reference, ref_out, _ = run_analyze(
-            dataset, workdir / "cache-scalar", "scalar", 1
-        )
-        print(f"  scalar  workers=1        {reference}")
-
-        warm_cache = workdir / "cache-w1"
-        for n_workers in args.workers:
-            cache_dir = workdir / f"cache-w{n_workers}"
-            digest, out, _ = run_analyze(dataset, cache_dir, "vector", n_workers)
+        dataset = Path(tmp) / "parity.csv"
+        save_dataset(Campaign(catalog, seed=args.seed).run(settings), dataset)
+        reference = run_analyze(dataset, "scalar")
+        print(f"  scalar          {reference}")
+        failed = False
+        for leg in ("vector", "vector (rerun)"):
+            digest = run_analyze(dataset, "vector")
             match = digest == reference
-            print(
-                f"  vector  workers={n_workers}        {digest}  "
-                f"{'ok' if match else 'MISMATCH'}"
-            )
+            print(f"  {leg:<15} {digest}  {'ok' if match else 'MISMATCH'}")
             failed = failed or not match
-
-        digest, out, stderr = run_analyze(dataset, warm_cache, "vector", 1)
-        computed = warm_computed(stderr)
-        cached_ok = computed == 0
-        match = digest == reference
-        print(
-            f"  vector  workers=1 (warm) {digest}  "
-            f"{'ok' if match else 'MISMATCH'}"
-            f"{'' if cached_ok else f'  RECOMPUTED {computed} UNITS'}"
-        )
-        failed = failed or not match or not cached_ok
 
     if failed:
         print("analyze-parity FAILED: runs disagree", file=sys.stderr)
         return 1
-    print("analyze-parity OK: all runs byte-identical, warm run fully cached")
+    print("analyze-parity OK: scalar, vector and rerun outputs byte-identical")
     return 0
 
 
