@@ -9,8 +9,12 @@ An :class:`AnalysisMemo` computes each of them once:
 * HB walks per (trace, small-window flag, downsample factor, predictor
   spec), the spec from :func:`derive_spec` — a predictor whose exact
   type has none is walked fresh every time;
-* LSO segmentations per (trace, small-window flag, downsample factor,
-  :class:`~repro.hb.lso.LsoConfig`);
+* LSO trajectories per (trace, small-window flag, downsample factor,
+  :class:`~repro.hb.lso.LsoConfig`) — one detection pass that every
+  LSO walk of that series and config replays, and that its
+  segmentation reads — and the segmentations themselves (the
+  trajectory is skipped while ``REPRO_HB_VECTOR=0`` pins the scalar
+  oracle);
 * one FB array pass per distinct predictor over every epoch.
 
 :func:`dataset_memo` keeps the memo on ``Dataset.memo``, so it lives no
@@ -40,7 +44,9 @@ from repro.hb.evaluate import (
 from repro.hb.ewma import Ewma
 from repro.hb.holt_winters import HoltWinters
 from repro.hb.lso import LsoConfig
+from repro.hb.lso_core import LsoTrajectory
 from repro.hb.moving_average import MovingAverage
+from repro.hb.vector_eval import hb_vector_enabled
 from repro.hb.wrappers import LsoPredictor
 from repro.obs import get_telemetry
 from repro.paths.records import Dataset, Trace
@@ -167,7 +173,8 @@ class AnalysisMemo:
         shared segmentation — what ``evaluate_predictor`` assembles.
         """
         series = self.series(trace, small_window, downsample)
-        spec = derive_spec(factory())
+        predictor = factory()
+        spec = derive_spec(predictor)
         if spec is None:
             return evaluate_predictor(series, factory, lso_config=lso_config)
         if lso_config is not None:
@@ -176,7 +183,12 @@ class AnalysisMemo:
             return replace(walk, outlier_indices=frozenset(segmentation.outlier_indices))
         key = ("walk", self._ordinals[id(trace)], small_window, downsample, spec)
         if key not in self._memo:
-            walk = evaluate_predictor(series, factory)
+            trajectory = None
+            if spec[0] == "lso":
+                trajectory = self.trajectory(
+                    trace, predictor._config, small_window, downsample
+                )
+            walk = evaluate_predictor(series, factory, trajectory=trajectory)
             _read_only(walk.predictions, walk.errors)
             self._memo[key] = walk
         return self._memo[key]
@@ -192,7 +204,29 @@ class AnalysisMemo:
         config = config or LsoConfig()
         values = self.series(trace, small_window, downsample).values
         key = ("lso", self._ordinals[id(trace)], small_window, downsample, config)
-        return self._get(key, lambda: lso_segmentation(values, config))
+        return self._get(
+            key,
+            lambda: lso_segmentation(
+                values,
+                config,
+                self.trajectory(trace, config, small_window, downsample),
+            ),
+        )
+
+    def trajectory(
+        self,
+        trace: Trace,
+        config: LsoConfig,
+        small_window: bool = False,
+        downsample: int = 1,
+    ) -> LsoTrajectory | None:
+        """The series' :class:`~repro.hb.lso_core.LsoTrajectory` under
+        ``config``, or ``None`` while the scalar oracle is pinned."""
+        if not hb_vector_enabled():
+            return None
+        values = self.series(trace, small_window, downsample).values
+        key = ("trajectory", self._ordinals[id(trace)], small_window, downsample, config)
+        return self._get(key, lambda: LsoTrajectory.record(values, config))
 
     @property
     def columns(self) -> EpochColumns:

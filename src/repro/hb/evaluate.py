@@ -18,12 +18,14 @@ Two engines produce those numbers:
 trace and reports the final outlier indices and stationary segments —
 what Section 6.1.3 needs to compute a trace's CoV (weighted across
 stationary periods, outliers excluded) and to exclude outliers from the
-RMSRE of Fig. 20.  It follows the same split: an incremental O(n) pass
-with precheck-gated detector calls by default, the original
-re-scan-everything loop as the oracle.
+RMSRE of Fig. 20.  It follows the same split: by default it reads the
+detections of an :class:`~repro.hb.lso_core.LsoTrajectory` (one
+incremental pass), with the original re-scan-everything loop as the
+oracle.
 
-Every call computes its walk; sharing walks across figures is the
-analysis layer's per-dataset memo (:mod:`repro.analysis.memo`).
+Every call computes its walk and its trajectory unless the caller hands
+one in; sharing walks and trajectories across figures is the analysis
+layer's per-dataset memo (:mod:`repro.analysis.memo`).
 """
 
 from __future__ import annotations
@@ -38,12 +40,8 @@ from repro.core.metrics import relative_error, rmsre, segmented_cov
 from repro.core.timeseries import TimeSeries
 from repro.hb.base import PredictorFactory
 from repro.hb.lso import LsoConfig, detect_level_shift, detect_outliers
-from repro.hb.vector_eval import (
-    hb_vector_enabled,
-    lso_segmentation_fast,
-    vector_errors,
-    vector_walk,
-)
+from repro.hb.lso_core import LsoTrajectory
+from repro.hb.vector_eval import hb_vector_enabled, vector_errors, vector_walk
 from repro.obs import get_telemetry
 
 
@@ -102,6 +100,7 @@ def evaluate_predictor(
     series: TimeSeries,
     factory: PredictorFactory,
     lso_config: LsoConfig | None = None,
+    trajectory: LsoTrajectory | None = None,
 ) -> HbEvaluation:
     """Walk-forward one-step evaluation of a predictor over a trace.
 
@@ -112,6 +111,9 @@ def evaluate_predictor(
             computed so outlier epochs can be excluded from RMSRE (used
             for Fig. 20).  This does not wrap the predictor in LSO — pass
             an :class:`~repro.hb.wrappers.LsoPredictor` factory for that.
+        trajectory: the LSO trajectory of the series under an
+            LSO-wrapped predictor's config, for the vector walk to
+            replay instead of recording its own.
 
     Returns:
         The per-epoch forecasts and errors.
@@ -133,7 +135,9 @@ def evaluate_predictor(
     name = getattr(predictor, "name", type(predictor).__name__)
 
     started = perf_counter()
-    predictions = vector_walk(values, predictor) if hb_vector_enabled() else None
+    predictions = None
+    if hb_vector_enabled():
+        predictions = vector_walk(values, predictor, trajectory)
     if predictions is not None:
         errors = vector_errors(predictions, values)
     else:
@@ -202,7 +206,9 @@ class LsoSegmentation:
 
 
 def lso_segmentation(
-    values: np.ndarray | list[float], config: LsoConfig | None = None
+    values: np.ndarray | list[float],
+    config: LsoConfig | None = None,
+    trajectory: LsoTrajectory | None = None,
 ) -> LsoSegmentation:
     """Run the incremental LSO pass over a full trace.
 
@@ -210,14 +216,19 @@ def lso_segmentation(
     but keeps track of original indices so the caller learns *which*
     epochs were outliers and where the stationary segments lie.
 
-    By default runs the O(n) incremental pass (sorted-mirror medians,
-    precheck-gated detector calls); ``REPRO_HB_VECTOR=0`` selects the
-    original quadratic re-scan loop, the oracle both must match.
+    By default reads the detections of ``trajectory`` (the
+    :class:`~repro.hb.lso_core.LsoTrajectory` of ``values`` under
+    ``config``), recording one when none is given, and counts them once;
+    ``REPRO_HB_VECTOR=0`` selects the original quadratic re-scan loop,
+    the oracle it must match.
     """
     config = config or LsoConfig()
     vals = np.asarray(values, dtype=float)
     if hb_vector_enabled():
-        outlier_indices, shift_indices = lso_segmentation_fast(vals, config)
+        trajectory = LsoTrajectory.shared(vals, config, trajectory)
+        trajectory.count()
+        outlier_indices = trajectory.outliers.tolist()
+        shift_indices = trajectory.shifts.tolist()
     else:
         outlier_indices, shift_indices = _segmentation_scalar(vals, config)
     return _assemble_segmentation(vals, outlier_indices, shift_indices)

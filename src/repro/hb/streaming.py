@@ -7,16 +7,18 @@ a 150-epoch batch analysis, ruinous for a long-running service answering
 thousands of ingest+predict requests per second.  This module provides
 the streaming equivalent:
 
-* :class:`StreamingLso` — the same LSO wrapper semantics with an
-  incremental engine.  Each ingest does O(log n) bookkeeping (a sorted
-  mirror of the clean history for exact medians) plus two O(1)
-  prechecks that decide whether the expensive detectors can possibly
-  fire; the full detectors and base-predictor rebuilds only run on the
-  rare updates where an outlier or level shift is actually in play.
+* :class:`StreamingLso` — the same LSO wrapper semantics on the one
+  incremental LSO state machine, :class:`~repro.hb.lso_core.LsoCore`,
+  which analysis also records its trajectories with.  Each ingest does
+  O(log n) bookkeeping (a sorted mirror of the clean history for exact
+  medians) plus O(1) prechecks that decide whether the detector scans
+  can possibly fire; the scans and base-predictor rebuilds only run on
+  the rare updates where an outlier or level shift is actually in play.
   Predictions are **bit-identical** to :class:`LsoPredictor` — the
   parity suite in ``tests/hb/test_streaming.py`` proves it against the
   walk-forward :func:`~repro.hb.evaluate.evaluate_predictor` on
-  campaign traces.
+  campaign traces, and ``tests/hb/test_lso_core.py`` against the
+  quadratic oracle on generated edge cases.
 * :class:`PredictorSpec` — a JSON-able description of one predictor
   configuration (base predictor by registry name, LSO on/off,
   thresholds), the unit of configuration for ``repro-serve``.
@@ -25,24 +27,12 @@ the streaming equivalent:
   samples flagged instead of raised, and exact JSON snapshot/restore
   for restart durability.
 
-Why the prechecks preserve bit-parity
--------------------------------------
+Why incremental feeding preserves bit-parity
+--------------------------------------------
 
-*Outliers*: a sample is an outlier candidate only if its relative
-difference from the history median exceeds ``ψ``.  The extreme values
-of the history deviate at least as much as any other sample, so when
-neither ``min`` nor ``max`` of the clean history deviates, the full
-``detect_outliers`` pass would return nothing — it is skipped.
-
-*Level shifts*: a shift at split ``k`` requires every prefix sample
-below (above) every suffix sample.  The prefix always contains the
-first two clean samples (``k >= 2``) and the suffix always contains the
-last three (``k <= n-3``), so ``max(first two) < min(last three)`` (or
-the decreasing mirror) is a necessary condition checked in O(1); the
-full ``detect_level_shift`` scan only runs when it holds.
-
-*Base predictor*: the offline wrapper rebuilds its base predictor from
-scratch each update.  Because every predictor is a deterministic state
+(Why the detection prechecks do is told in :mod:`repro.hb.lso_core`.)
+The offline wrapper rebuilds its base predictor from scratch each
+update.  Because every predictor is a deterministic state
 machine over its update sequence, feeding the base **incrementally**
 with exactly the samples a rebuild would feed produces bit-identical
 state; a real rebuild is only needed when the clean history mutates
@@ -53,7 +43,6 @@ level shift truncating the history).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Any
 
@@ -66,10 +55,8 @@ from repro.hb.lso import (
     DEFAULT_LEVEL_SHIFT_THRESHOLD,
     DEFAULT_OUTLIER_THRESHOLD,
     LsoConfig,
-    detect_level_shift,
-    detect_outliers,
-    relative_difference,
 )
+from repro.hb.lso_core import LsoCore, count_detections
 from repro.hb.moving_average import MovingAverage
 from repro.hb.wrappers import LsoPredictor
 from repro.obs import get_telemetry
@@ -176,8 +163,10 @@ class StreamingLso(HistoryPredictor):
     """Incremental twin of :class:`~repro.hb.wrappers.LsoPredictor`.
 
     Same constructor, same observable behaviour (forecasts, diagnostics,
-    raised errors), different cost model: amortised O(1) per update
-    instead of a full detection + replay pass over the clean history.
+    raised errors), different cost model: each update pushes the sample
+    through the shared :class:`~repro.hb.lso_core.LsoCore` and feeds the
+    base predictor only the samples its quarantine target newly admits,
+    rebuilding it only when an already-fed sample left the clean history.
 
     State is exactly a function of ``(clean history, count, shift and
     outlier tallies)`` — the same invariant the offline wrapper has — so
@@ -197,12 +186,8 @@ class StreamingLso(HistoryPredictor):
         self.harden = harden
         self._base = factory()
         self.name = f"{self._base.name}-LSO"
-        self._history: list[float] = []
-        self._sorted: list[float] = []  # sorted mirror of _history
-        self._fed = 0  # length of the _history prefix fed to _base
-        self._count = 0
-        self.n_level_shifts = 0
-        self.n_outliers = 0
+        self._core = LsoCore(self._config)
+        self._fed = 0  # length of the clean-history prefix fed to _base
 
     # -- HistoryPredictor surface ---------------------------------------
 
@@ -212,7 +197,15 @@ class StreamingLso(HistoryPredictor):
 
     @property
     def n_observed(self) -> int:
-        return self._count
+        return self._core.count
+
+    @property
+    def n_level_shifts(self) -> int:
+        return self._core.n_level_shifts
+
+    @property
+    def n_outliers(self) -> int:
+        return self._core.n_outliers
 
     @property
     def ready(self) -> bool:
@@ -221,16 +214,7 @@ class StreamingLso(HistoryPredictor):
     @property
     def clean_history(self) -> tuple[float, ...]:
         """The retained history: post-shift samples, outliers removed."""
-        return tuple(self._history)
-
-    def _median(self) -> float:
-        """Exact median of the clean history (matches statistics.median)."""
-        ordered = self._sorted
-        n = len(ordered)
-        mid = n // 2
-        if n % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2
+        return tuple(self._core.history)
 
     def update(self, value: float) -> None:
         value = float(value)
@@ -239,80 +223,28 @@ class StreamingLso(HistoryPredictor):
                 f"throughput observations must be positive, got {value} "
                 "(a zero/outage epoch — discard or flag it before ingest)"
             )
-        self._count += 1
-        history = self._history
-        history.append(value)
-        insort(self._sorted, value)
-        rebuild = False
-
-        # Outlier precheck: if neither extreme of the clean history
-        # deviates from the median beyond psi, no sample does.
-        if len(history) >= 2:
-            med = self._median()
-            psi = self._config.outlier_threshold
-            if (
-                relative_difference(self._sorted[0], med) > psi
-                or relative_difference(self._sorted[-1], med) > psi
-            ):
-                outliers = detect_outliers(history, self._config)
-                if outliers:
-                    self.n_outliers += len(outliers)
-                    if outliers[0] < self._fed:
-                        # An already-fed sample is being discarded: the
-                        # base predictor must be rebuilt from scratch.
-                        rebuild = True
-                    removed = [history[k] for k in outliers]
-                    flagged = set(outliers)
-                    history = self._history = [
-                        x for k, x in enumerate(history) if k not in flagged
-                    ]
-                    ordered = self._sorted
-                    for sample in removed:
-                        del ordered[bisect_left(ordered, sample)]
-
-        # Level-shift precheck: a split k in [2, n-3] keeps the first
-        # two samples in the prefix and the last three in the suffix,
-        # so full separation requires one of these O(1) conditions.
-        n = len(history)
-        if n >= 5:
-            lo3 = min(history[-3], history[-2], history[-1])
-            hi3 = max(history[-3], history[-2], history[-1])
-            first_lo = min(history[0], history[1])
-            first_hi = max(history[0], history[1])
-            if first_hi < lo3 or first_lo > hi3:
-                shift = detect_level_shift(history, self._config)
-                if shift is not None:
-                    self.n_level_shifts += 1
-                    history = self._history = history[shift:]
-                    self._sorted = sorted(history)
-                    rebuild = True
-
-        self._feed_base(rebuild)
-
-    def _feed_target(self) -> int:
-        """How many history samples the base predictor should hold.
-
-        Mirrors the offline wrapper's quarantine rule: a trailing sample
-        deviating from the history median beyond psi is withheld from
-        the base predictor until the next sample disambiguates it.
-        """
-        target = len(self._history)
-        if self.harden and target >= 3:
-            med = self._median()
-            last = self._history[-1]
-            if relative_difference(last, med) > self._config.outlier_threshold:
-                target -= 1
-        return target
+        core = self._core
+        core.push(value)
+        count_detections(len(core.dropped), core.shift is not None)
+        self._feed_base(rebuild=core.kept < self._fed)
 
     def _feed_base(self, rebuild: bool) -> None:
-        target = self._feed_target()
-        if rebuild or target < self._fed:
+        """Bring the base predictor to the core's feed target.
+
+        The offline wrapper's quarantine rule: a newest sample deviating
+        from the history median beyond psi is withheld from the base
+        predictor until the next sample disambiguates it.
+        """
+        core = self._core
+        history = core.history
+        target = len(history) - (self.harden and core.quarantined)
+        if rebuild:
             base = self._base = self._factory()
-            for sample in self._history[:target]:
+            for sample in history[:target]:
                 base.update(sample)
         else:
             base = self._base
-            for sample in self._history[self._fed : target]:
+            for sample in history[self._fed : target]:
                 base.update(sample)
         self._fed = target
 
@@ -320,41 +252,39 @@ class StreamingLso(HistoryPredictor):
         if not self._base.ready:
             raise PredictionError(
                 f"{self.name} needs {self.min_history} clean observations, "
-                f"has {len(self._history)}"
+                f"has {len(self._core.history)}"
             )
         raw = self._base.forecast()
         if not self.harden:
             return raw
-        low = self._sorted[0] / self.RANGE_CLAMP_FACTOR
-        high = self._sorted[-1] * self.RANGE_CLAMP_FACTOR
+        ordered = self._core.ordered
+        low = ordered[0] / self.RANGE_CLAMP_FACTOR
+        high = ordered[-1] * self.RANGE_CLAMP_FACTOR
         return min(max(raw, low), high)
 
     def reset(self) -> None:
         self._base = self._factory()
-        self._history = []
-        self._sorted = []
+        self._core = LsoCore(self._config)
         self._fed = 0
-        self._count = 0
-        self.n_level_shifts = 0
-        self.n_outliers = 0
 
     # -- snapshot / restore ----------------------------------------------
 
     def state_dict(self) -> dict:
+        core = self._core
         return {
-            "history": list(self._history),
-            "count": self._count,
-            "n_level_shifts": self.n_level_shifts,
-            "n_outliers": self.n_outliers,
+            "history": list(core.history),
+            "count": core.count,
+            "n_level_shifts": core.n_level_shifts,
+            "n_outliers": core.n_outliers,
         }
 
     def load_state(self, state: dict) -> None:
-        self._history = [float(v) for v in state["history"]]
-        self._sorted = sorted(self._history)
-        self._count = int(state["count"])
-        self.n_level_shifts = int(state["n_level_shifts"])
-        self.n_outliers = int(state["n_outliers"])
-        self._fed = 0
+        self._core.load(
+            [float(v) for v in state["history"]],
+            int(state["count"]),
+            int(state["n_level_shifts"]),
+            int(state["n_outliers"]),
+        )
         self._feed_base(rebuild=True)
 
 

@@ -32,21 +32,19 @@ Bit-identity notes, family by family:
   from its history list; a contiguous slice view of the trace holds the
   same values in the same layout, so ``mean``, the normal-equation
   solve, and the lag dot product reproduce the same bits.
-* ``LsoPredictor`` — an inline replay of the wrapper's per-epoch
-  detect/discard/restart cycle, mirroring the incremental bookkeeping
-  of :class:`repro.hb.streaming.StreamingLso`: a sorted mirror of the
-  clean history makes medians O(1), detector calls are gated on
-  prechecks that any detection provably implies (so the detectors —
-  and their telemetry counters — fire exactly as often as in the
-  scalar walk), and the base predictor is maintained incrementally
-  instead of being rebuilt from scratch every epoch.
+* ``LsoPredictor`` — a replay over the series' LSO trajectory
+  (:class:`~repro.hb.lso_core.LsoTrajectory`: one pass of the shared
+  LSO core, which analysis records once per series and config): the
+  base predictor's feed splits into streams at each restart, and each
+  stream is the base family's own array walk, read at the fed length
+  and range-clamped.  Its detections are counted once per walk, as the
+  wrapper's detectors count them.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from bisect import bisect_left, insort
-from statistics import median
 
 import numpy as np
 
@@ -55,10 +53,9 @@ from repro.hb.autoregressive import AutoRegressive
 from repro.hb.base import HistoryPredictor, PredictorFactory
 from repro.hb.ewma import Ewma
 from repro.hb.holt_winters import _MIN_FORECAST, HoltWinters
-from repro.hb.lso import LsoConfig, relative_difference
+from repro.hb.lso_core import LsoTrajectory
 from repro.hb.moving_average import MovingAverage
 from repro.hb.wrappers import LsoPredictor
-from repro.obs import get_telemetry
 
 #: Set to ``0`` to disable the vectorized walk and run the scalar oracle.
 ENV_HB_VECTOR = "REPRO_HB_VECTOR"
@@ -74,7 +71,9 @@ def hb_vector_enabled() -> bool:
 
 
 def vector_walk(
-    values: np.ndarray, predictor: HistoryPredictor
+    values: np.ndarray,
+    predictor: HistoryPredictor,
+    trajectory: LsoTrajectory | None = None,
 ) -> np.ndarray | None:
     """Per-epoch forecasts of the walk-forward evaluation, or ``None``.
 
@@ -82,6 +81,10 @@ def vector_walk(
         values: the trace samples (already validated positive).
         predictor: a fresh predictor instance — inspected for its family
             and parameters, never mutated.
+        trajectory: for an :class:`LsoPredictor`, the
+            :class:`~repro.hb.lso_core.LsoTrajectory` of ``values`` under
+            its config, when the caller shares one; recorded afresh
+            otherwise.  Ignored for other families.
 
     Returns:
         The forecast array the scalar loop would produce (NaN where the
@@ -99,7 +102,7 @@ def vector_walk(
     if kind is AutoRegressive:
         return _walk_autoregressive(values, predictor)
     if kind is LsoPredictor:
-        return _walk_lso(values, predictor)
+        return _walk_lso(values, predictor, trajectory)
     return None
 
 
@@ -219,388 +222,109 @@ def _walk_autoregressive(
     return predictions
 
 
-def _detect_outliers_fast(
-    arr: np.ndarray, med: float, config: LsoConfig
-) -> list[int]:
-    """Vectorized twin of :func:`repro.hb.lso.detect_outliers`.
+def _prefix_forecasts(stream: list[float], factory: PredictorFactory) -> np.ndarray:
+    """Forecasts of a fresh base predictor after each prefix of ``stream``.
 
-    Same rule, elementwise: an interior sample deviating from the
-    history median by more than ``psi`` is flagged unless its successor
-    deviates in the same direction (a potential level shift).  The
-    relative-difference comparisons are the identical C double
-    operations, so the flag set matches the scalar detector exactly.
-    The caller guarantees positive samples and supplies the median of
-    ``arr`` (computed from its sorted mirror — the same value
-    ``statistics.median`` would produce).
+    Entry ``k`` (of ``len(stream) + 1``) is the forecast once the first
+    ``k`` samples were fed, NaN while not ready: the walk of the
+    family's array twin over the stream plus one placeholder sample,
+    which no forecast reads; the scalar loop for unregistered types.
     """
-    deviating = np.abs(arr - med) / np.minimum(arr, med) > config.outlier_threshold
-    if not deviating[:-1].any():
-        return []
-    above = arr > med
-    same_direction_run = deviating[1:] & (above[:-1] == above[1:])
-    outliers = np.flatnonzero(deviating[:-1] & ~same_direction_run).tolist()
-    if outliers:
-        # Mirror the scalar detector's accounting (one bump per pass).
-        get_telemetry().counter("hb.outliers_discarded").inc(len(outliers))
-    return outliers
+    samples = np.array([*stream, 1.0])
+    predictor = factory()
+    forecasts = vector_walk(samples, predictor)
+    if forecasts is None:
+        forecasts = np.full(len(samples), np.nan)
+        for k, value in enumerate(samples.tolist()):
+            if predictor.ready:
+                forecasts[k] = predictor.forecast()
+            predictor.update(value)
+    return forecasts
 
 
-def _detect_level_shift_fast(
-    arr: np.ndarray, history: list[float], config: LsoConfig
-) -> int | None:
-    """Vectorized twin of :func:`repro.hb.lso.detect_level_shift`.
+def _walk_lso(
+    values: np.ndarray,
+    predictor: LsoPredictor,
+    trajectory: LsoTrajectory | None = None,
+) -> np.ndarray:
+    """Replay an LsoPredictor walk's base predictor over its LSO trajectory.
 
-    Running prefix/suffix extremes become ``minimum``/``maximum``
-    accumulations; candidate splits with full separation (usually zero
-    or one per call) still take their prefix/suffix medians through
-    ``statistics.median`` so the threshold comparison sees the exact
-    scalar values.  Tie-breaking replicates the scalar scan: widest
-    gap wins, equal gaps go to the later split.
+    The scalar wrapper re-runs both detectors over its clean history
+    and rebuilds its base predictor from scratch every epoch.  The
+    detections depend on the series and the config alone, so they come
+    from the trajectory (recorded here unless the caller shares one),
+    and are counted once for this walk as the wrapper's detectors would
+    count them.  The replay applies the trajectory's history edits to a
+    list of values and splits what the base predictor is fed into
+    *streams*: a stream restarts from the clean history's fed prefix
+    whenever an edit removed an already-fed sample, and otherwise grows
+    by the samples the quarantine admits.  Each epoch's forecast is the
+    family's array walk over its stream, read at the fed length (NaN
+    while the base is not ready), and clamped to the range of the clean
+    history — tracked through the appends and recomputed after each
+    edit.
     """
-    n = len(history)
-    if n < 5:
-        return None
-    prefix_max = np.maximum.accumulate(arr)
-    prefix_min = np.minimum.accumulate(arr)
-    suffix_max = np.maximum.accumulate(arr[::-1])[::-1]
-    suffix_min = np.minimum.accumulate(arr[::-1])[::-1]
-    # Zero-based k ranges over 2 .. n-3 (one-based 3 .. n-2).
-    increasing = prefix_max[1 : n - 3] < suffix_min[2 : n - 2]
-    decreasing = prefix_min[1 : n - 3] > suffix_max[2 : n - 2]
-    candidates = np.flatnonzero(increasing | decreasing)
-    if candidates.size == 0:
-        return None
-    best_k: int | None = None
-    best_gap = 0.0
-    for c in candidates.tolist():
-        k = c + 2
-        if increasing[c]:
-            gap = float(suffix_min[k] - prefix_max[k - 1])
-        else:
-            gap = float(prefix_min[k - 1] - suffix_max[k])
-        med_prefix = median(history[:k])
-        med_suffix = median(history[k:])
-        if relative_difference(med_prefix, med_suffix) <= config.level_shift_threshold:
-            continue
-        if best_k is None or gap > best_gap or (gap == best_gap and k > best_k):
-            best_gap = gap
-            best_k = k
-    if best_k is not None:
-        get_telemetry().counter("hb.level_shifts").inc()
-    return best_k
-
-
-def lso_segmentation_fast(
-    values: np.ndarray, config: LsoConfig
-) -> tuple[list[int], list[int]]:
-    """Incremental O(n) twin of the full-trace LSO segmentation pass.
-
-    Returns the ``(outlier_indices, shift_indices)`` (original epoch
-    indices, detection order) that the reference loop in
-    :func:`repro.hb.evaluate.lso_segmentation` accumulates.  Same
-    precheck gating as :func:`_walk_lso`, plus a parallel index list so
-    detections map back to original epochs after removals/truncations.
-    """
-    psi = config.outlier_threshold
-    indices: list[int] = []
-    history: list[float] = []
-    ordered: list[float] = []
-    outlier_indices: list[int] = []
-    shift_indices: list[int] = []
-    buf = np.empty(len(values))  # numpy mirror of the clean history
-
-    for idx, value in enumerate(values.tolist()):
-        if value <= 0:
-            raise DataError(f"throughput must be positive, got {value} at epoch {idx}")
-        indices.append(idx)
-        history.append(value)
-        insort(ordered, value)
-        m = len(history)
-        buf[m - 1] = value
-        if m >= 2:
-            mid = m >> 1
-            med = ordered[mid] if m & 1 else (ordered[mid - 1] + ordered[mid]) / 2
-            lo = ordered[0]
-            hi = ordered[-1]
-            if (med - lo) / lo > psi or (hi - med) / med > psi:
-                flagged = _detect_outliers_fast(buf[:m], med, config)
-                if flagged:
-                    outlier_indices.extend(indices[k] for k in flagged)
-                    for k in reversed(flagged):
-                        del indices[k]
-                        sample = history.pop(k)
-                        del ordered[bisect_left(ordered, sample)]
-                    m = len(history)
-                    buf[:m] = history
-        if m >= 5:
-            a = history[-1]
-            b = history[-2]
-            c = history[-3]
-            lo3 = b if b < a else a
-            if c < lo3:
-                lo3 = c
-            hi3 = b if b > a else a
-            if c > hi3:
-                hi3 = c
-            h0 = history[0]
-            h1 = history[1]
-            if (h1 if h1 > h0 else h0) < lo3 or (h1 if h1 < h0 else h0) > hi3:
-                shift = _detect_level_shift_fast(buf[:m], history, config)
-                if shift is not None:
-                    shift_indices.append(indices[shift])
-                    del history[:shift]
-                    del indices[:shift]
-                    ordered = sorted(history)
-                    m = len(history)
-                    buf[:m] = history
-    return outlier_indices, shift_indices
-
-
-class _MaTwin:
-    """Incremental stand-in for replaying a MovingAverage base."""
-
-    __slots__ = ("order", "fed")
-
-    def __init__(self, order: int) -> None:
-        self.order = order
-        self.fed: list[float] = []
-
-    def rebuild(self, feed: list[float]) -> None:
-        self.fed = list(feed)
-
-    def extend(self, samples: list[float]) -> None:
-        self.fed.extend(samples)
-
-    def forecast(self) -> float:
-        window = self.fed[-self.order :]
-        return sum(window) / len(window)
-
-
-class _EwmaTwin:
-    """Incremental stand-in for replaying an Ewma base."""
-
-    __slots__ = ("alpha", "one_minus", "estimate")
-
-    def __init__(self, alpha: float) -> None:
-        self.alpha = alpha
-        self.one_minus = 1.0 - alpha
-        self.estimate: float | None = None
-
-    def rebuild(self, feed: list[float]) -> None:
-        self.estimate = None
-        self.extend(feed)
-
-    def extend(self, samples: list[float]) -> None:
-        estimate = self.estimate
-        alpha = self.alpha
-        one_minus = self.one_minus
-        for value in samples:
-            estimate = value if estimate is None else alpha * value + one_minus * estimate
-        self.estimate = estimate
-
-    def forecast(self) -> float:
-        assert self.estimate is not None
-        return self.estimate
-
-
-class _HwTwin:
-    """Incremental stand-in for replaying a HoltWinters base."""
-
-    __slots__ = ("alpha", "beta", "one_minus_a", "one_minus_b", "first", "level", "trend", "count")
-
-    def __init__(self, alpha: float, beta: float) -> None:
-        self.alpha = alpha
-        self.beta = beta
-        self.one_minus_a = 1.0 - alpha
-        self.one_minus_b = 1.0 - beta
-        self.first = 0.0
-        self.level = 0.0
-        self.trend = 0.0
-        self.count = 0
-
-    def rebuild(self, feed: list[float]) -> None:
-        self.count = 0
-        self.extend(feed)
-
-    def extend(self, samples: list[float]) -> None:
-        count = self.count
-        level = self.level
-        trend = self.trend
-        alpha = self.alpha
-        beta = self.beta
-        one_minus_a = self.one_minus_a
-        one_minus_b = self.one_minus_b
-        for value in samples:
-            if count == 0:
-                self.first = value
-            elif count == 1:
-                level = value
-                trend = value - self.first
-            else:
-                raw = level + trend
-                forecast = raw if raw > 0 else max(level, _MIN_FORECAST)
-                new_level = alpha * value + one_minus_a * forecast
-                trend = beta * (new_level - level) + one_minus_b * trend
-                level = new_level
-            count += 1
-        self.count = count
-        self.level = level
-        self.trend = trend
-
-    def forecast(self) -> float:
-        raw = self.level + self.trend
-        return raw if raw > 0 else max(self.level, _MIN_FORECAST)
-
-
-class _GenericTwin:
-    """Fallback twin driving a real base predictor incrementally.
-
-    A fresh replay over a prefix and an incremental extension by the
-    same samples issue the identical ``update`` call sequence on a
-    freshly built instance, so any deterministic predictor lands in the
-    same state either way.
-    """
-
-    __slots__ = ("factory", "base")
-
-    def __init__(self, factory: PredictorFactory, probe: HistoryPredictor) -> None:
-        self.factory = factory
-        self.base = probe
-
-    def rebuild(self, feed: list[float]) -> None:
-        self.base = self.factory()
-        self.extend(feed)
-
-    def extend(self, samples: list[float]) -> None:
-        update = self.base.update
-        for value in samples:
-            update(value)
-
-    def forecast(self) -> float:
-        return self.base.forecast()
-
-
-def _base_twin(factory: PredictorFactory) -> tuple[object, int]:
-    probe = factory()
-    kind = type(probe)
-    if kind is MovingAverage:
-        return _MaTwin(probe.order), probe.min_history
-    if kind is Ewma:
-        return _EwmaTwin(probe.alpha), probe.min_history
-    if kind is HoltWinters:
-        return _HwTwin(probe.alpha, probe.beta), probe.min_history
-    return _GenericTwin(factory, probe), probe.min_history
-
-
-def _walk_lso(values: np.ndarray, predictor: LsoPredictor) -> np.ndarray:
-    """Inline replay of the LsoPredictor walk with incremental state.
-
-    Per epoch the scalar wrapper re-runs both detectors over the full
-    clean history and rebuilds its base predictor from scratch.  This
-    walk keeps the clean history alongside a sorted mirror (medians and
-    range clamps become O(1)) and only invokes a detector when a cheap
-    precheck — implied by any actual detection — fires:
-
-    * outliers: the relative deviation from the median is maximized at
-      the history extremes, so if neither extreme deviates beyond the
-      outlier threshold no sample does;
-    * level shift: full prefix/suffix separation at any admissible split
-      requires ``max`` of the first two samples below ``min`` of the
-      last three (or the decreasing mirror image).
-
-    The detectors own the ``hb.outliers_discarded``/``hb.level_shifts``
-    counters and only bump them on a detection, so gating the calls
-    leaves telemetry identical to the scalar walk.  The base predictor
-    is fed incrementally and rebuilt only when the fed prefix actually
-    changed (an outlier removed inside it, or a level-shift restart) —
-    the same bookkeeping :class:`repro.hb.streaming.StreamingLso` uses.
-    """
-    config = predictor._config
+    trajectory = LsoTrajectory.shared(values, predictor._config, trajectory)
+    trajectory.count()
     harden = predictor.harden
-    psi = config.outlier_threshold
-    clamp = predictor.RANGE_CLAMP_FACTOR
-    twin, min_history = _base_twin(predictor._factory)
 
-    n = len(values)
-    predictions = np.full(n, np.nan)
+    vals = values.tolist()
+    n = len(vals)
+    quarantined = trajectory.quarantined.tolist()
+    tails = values[trajectory.edit_tail].tolist()
+    edits = iter(trajectory.edits.tolist())
+    no_edit = (n, 0, 0)
+    edit_epoch, kept, end = next(edits, no_edit)
+    start = 0
     history: list[float] = []
-    ordered: list[float] = []
-    fed = 0  # length of the clean-history prefix absorbed by the twin
-    buf = np.empty(n)  # numpy mirror of the clean history
+    lo = math.inf
+    hi = -math.inf
+    streams: list[list[float]] = []
+    stream: list[float] = []  # what the base was fed since its last rebuild
+    offset = 0  # of the stream's forecasts in the concatenated streams'
+    slots: list[int] = []  # per epoch, where its forecast is read
+    lows: list[float] = []
+    highs: list[float] = []
 
-    for idx, value in enumerate(values.tolist()):
-        if fed >= min_history:
-            raw = twin.forecast()
-            if harden:
-                # min(max(raw, lo/2), hi*2), branch-for-branch.
-                low = ordered[0] / clamp
-                if raw < low:
-                    raw = low
-                else:
-                    high = ordered[-1] * clamp
-                    if raw > high:
-                        raw = high
-            predictions[idx] = raw
-
-        history.append(value)
-        insort(ordered, value)
-        m = len(history)
-        buf[m - 1] = value
-        rebuild = False
-        med: float | None = None
-        if m >= 2:
-            mid = m >> 1
-            med = ordered[mid] if m & 1 else (ordered[mid - 1] + ordered[mid]) / 2
-            lo = ordered[0]
-            hi = ordered[-1]
-            if (med - lo) / lo > psi or (hi - med) / med > psi:
-                flagged = _detect_outliers_fast(buf[:m], med, config)
-                if flagged:
-                    if flagged[0] < fed:
-                        rebuild = True
-                    for k in reversed(flagged):
-                        sample = history.pop(k)
-                        del ordered[bisect_left(ordered, sample)]
-                    m = len(history)
-                    buf[:m] = history
-                    med = None
-        if m >= 5:
-            a = history[-1]
-            b = history[-2]
-            c = history[-3]
-            lo3 = b if b < a else a
-            if c < lo3:
-                lo3 = c
-            hi3 = b if b > a else a
-            if c > hi3:
-                hi3 = c
-            h0 = history[0]
-            h1 = history[1]
-            if (h1 if h1 > h0 else h0) < lo3 or (h1 if h1 < h0 else h0) > hi3:
-                shift = _detect_level_shift_fast(buf[:m], history, config)
-                if shift is not None:
-                    del history[:shift]
-                    ordered = sorted(history)
-                    m = len(history)
-                    buf[:m] = history
-                    med = None
-                    rebuild = True
-
-        # The wrapper's _replay(): quarantine a trailing sample deviating
-        # from the clean-history median, then bring the base twin to the
-        # fed prefix.
-        target = m
-        if harden and m >= 3:
-            if med is None:
-                mid = m >> 1
-                med = ordered[mid] if m & 1 else (ordered[mid - 1] + ordered[mid]) / 2
-            last = history[-1]
-            deviation = (last - med) / med if last >= med else (med - last) / last
-            if deviation > psi:
-                target = m - 1
-        if rebuild or target < fed:
-            twin.rebuild(history[:target])
+    for epoch in range(n):
+        fed = len(stream)
+        slots.append(offset + fed)
+        if harden:
+            lows.append(lo)
+            highs.append(hi)
+        if epoch == edit_epoch:
+            history[kept:] = tails[start:end]
+            start = end
+            lo = min(history)
+            hi = max(history)
+            rebuild = kept < fed
+            edit_epoch, kept, end = next(edits, no_edit)
+        else:
+            value = vals[epoch]
+            history.append(value)
+            if value < lo:
+                lo = value
+            if value > hi:
+                hi = value
+            rebuild = False
+        # The wrapper's _replay(): withhold a quarantined newest sample.
+        target = len(history)
+        if harden and quarantined[epoch]:
+            target -= 1
+        if rebuild:
+            streams.append(stream)
+            offset += fed + 1
+            stream = history[:target]
         elif target > fed:
-            twin.extend(history[fed:target])
-        fed = target
+            stream += history[fed:target]
+    streams.append(stream)
+
+    factory = predictor._factory
+    forecasts = np.concatenate([_prefix_forecasts(s, factory) for s in streams])
+    predictions = forecasts[slots]  # NaN while the base is not ready
+    if harden:
+        # min(max(raw, lo/2), hi*2) over the clean history's range.
+        clamp = predictor.RANGE_CLAMP_FACTOR
+        np.maximum(predictions, np.array(lows) / clamp, out=predictions)
+        np.minimum(predictions, np.array(highs) * clamp, out=predictions)
     return predictions

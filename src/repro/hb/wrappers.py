@@ -84,8 +84,9 @@ class LsoPredictor(HistoryPredictor):
         outliers = detect_outliers(self._history, self._config)
         if outliers:
             self.n_outliers += len(outliers)
+            flagged = set(outliers)
             self._history = [
-                x for k, x in enumerate(self._history) if k not in set(outliers)
+                x for k, x in enumerate(self._history) if k not in flagged
             ]
 
         shift = detect_level_shift(self._history, self._config)

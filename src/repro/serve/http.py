@@ -250,6 +250,13 @@ async def _connection_loop(
         while True:
             try:
                 request = await read_request(reader, access_log)
+            except asyncio.CancelledError:
+                # Shutdown cancels the connections still waiting on their
+                # client, idle keep-alive ones above all.  End such a
+                # connection as if the client had closed it: a cancelled
+                # connection task makes asyncio's stream protocol log a
+                # traceback (Python 3.11).
+                return
             except HttpError as exc:
                 writer.write(
                     render_response(

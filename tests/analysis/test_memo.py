@@ -24,9 +24,9 @@ def walks(monkeypatch):
     calls = []
     real = memo_module.evaluate_predictor
 
-    def counting(series, factory, lso_config=None):
+    def counting(series, factory, **kwargs):
         calls.append(series.name)
-        return real(series, factory, lso_config=lso_config)
+        return real(series, factory, **kwargs)
 
     monkeypatch.setattr(memo_module, "evaluate_predictor", counting)
     return calls

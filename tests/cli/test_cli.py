@@ -528,3 +528,46 @@ class TestServeCli:
         assert store.n_shards == 4
         assert store.max_paths_per_shard == 25
         assert sorted(store.specs) == ["last"]
+
+
+class TestAnalyzeEngineParity:
+    """The scalar HB oracle and the vector path produce the same analysis:
+    byte-identical stdout and equal manifest counters, including the LSO
+    detection tallies and the per-predictor prediction counts."""
+
+    @pytest.fixture(scope="class")
+    def small_dataset(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("engines") / "ds.csv"
+        assert campaign.main(
+            ["--traces", "1", "--epochs", "60", "--no-cache", "--quiet",
+             "-o", str(out)]
+        ) == 0
+        return out
+
+    def _run(self, dataset, engine, monkeypatch, capsys):
+        import json
+
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        monkeypatch.setenv("REPRO_HB_VECTOR", "1" if engine == "vector" else "0")
+        assert analyze.main([str(dataset)]) == 0
+        stdout = capsys.readouterr().out
+        manifest = json.loads(
+            dataset.with_name("ds.analysis.manifest.json").read_text()
+        )
+        counters = {
+            (entry["name"], tuple(sorted(entry["tags"].items()))): entry["value"]
+            for entry in manifest["counters"]
+        }
+        return stdout, counters
+
+    def test_stdout_and_counters_equal(self, small_dataset, monkeypatch, capsys):
+        scalar_out, scalar = self._run(small_dataset, "scalar", monkeypatch, capsys)
+        vector_out, vector = self._run(small_dataset, "vector", monkeypatch, capsys)
+        assert scalar_out == vector_out
+        assert scalar == vector
+        assert scalar[("hb.level_shifts", ())] > 0
+        assert scalar[("hb.outliers_discarded", ())] > 0
+        assert any(
+            name == "predictions.made" and dict(tags).get("predictor") != "fb"
+            for name, tags in scalar
+        )

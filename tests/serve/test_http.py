@@ -389,3 +389,40 @@ class TestProtocol:
         with pytest.raises(HttpError):
             HttpRequest("POST", "/x", {}, {}, body=b"{oops").json()
 
+
+
+class TestShutdown:
+    def test_sigterm_with_idle_keep_alive_client_exits_cleanly(self):
+        """An idle keep-alive connection open across SIGTERM must not
+        surface its cancelled task as a traceback on the server's stderr."""
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "REPRO_OBS": "0"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli.serve", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "listening on http://" in banner, banner
+            port = int(banner.strip().rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                assert sock.recv(4096).startswith(b"HTTP/1.1 200")
+                proc.send_signal(signal.SIGTERM)
+                out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "Traceback" not in err, err
+        assert "shut down cleanly" in out

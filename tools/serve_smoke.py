@@ -12,8 +12,10 @@ inside one process:
    ``repro-obs quality <url>`` renders it against the live server;
 3. every response carries an ``X-Request-Id`` and every request lands
    in the JSONL access log with phase timings;
-4. SIGTERM → clean exit (code 0), snapshot and manifest written, the
-   manifest carrying the quality section;
+4. SIGTERM → clean exit (code 0) with no traceback in the server's
+   output, even with an idle keep-alive connection held open across the
+   signal; snapshot and manifest written, the manifest carrying the
+   quality section;
 5. restart from the snapshot → the restored forecast is bit-identical.
 
 Exits non-zero with a one-line reason on any failure.  Artifacts land
@@ -27,6 +29,7 @@ import json
 import os
 import selectors
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -192,15 +195,29 @@ def check_access_log(workdir: Path) -> None:
     print(f"serve-smoke: access log holds all {len(request_ids)} traced requests")
 
 
+def idle_connection(port: int) -> socket.socket:
+    """A keep-alive connection that served one request and now idles."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+    sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: smoke\r\n\r\n")
+    if not sock.recv(4096).startswith(b"HTTP/1.1 200"):
+        fail("idle keep-alive connection got no 200 for GET /healthz")
+    return sock
+
+
 def stop(proc: subprocess.Popen) -> None:
+    """SIGTERM with an idle keep-alive client connected: the server must
+    exit 0 and print no traceback (its stderr is merged into stdout)."""
     proc.send_signal(signal.SIGTERM)
     try:
         proc.wait(timeout=STOP_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         proc.kill()
         fail(f"server did not exit within {STOP_TIMEOUT_S}s of SIGTERM")
+    output = proc.stdout.read()
     if proc.returncode != 0:
-        fail(f"server exited with code {proc.returncode}: {proc.stdout.read()!r}")
+        fail(f"server exited with code {proc.returncode}: {output!r}")
+    if "Traceback" in output:
+        fail(f"server printed a traceback at shutdown: {output!r}")
 
 
 def main() -> int:
@@ -239,8 +256,11 @@ def main() -> int:
             )
         print("serve-smoke: /quality matches the offline twin bit-for-bit")
         run_obs_quality(port)
+        idle = idle_connection(port)
     finally:
         stop(proc)
+    idle.close()
+    print("serve-smoke: SIGTERM with an idle keep-alive client exits cleanly")
 
     snapshot = workdir / "state.json"
     manifest = workdir / "manifest.json"
